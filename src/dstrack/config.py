@@ -49,7 +49,6 @@ class EngineConfig:
     ffn_hidden: int = 1024
     heatmap_kernel_width: float = 10.0  # Gaussian std in px for rendered heatmaps
     oks_kappas: Tuple[float, ...] = ()  # empty means "derive from keypoint_count"
-    warp_mode: str = "identity"       # "identity" or "pluggable"
     edge_update_mode: str = "features"  # "features" (pre-softmax) or "weights"
     crop_height: int = 64
     crop_width: int = 32
@@ -92,8 +91,6 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ValueError("kappa count must match keypoint count")
     if any(k <= 0 for k in cfg.oks_kappas):
         raise ValueError("kappas must be strictly positive")
-    if cfg.warp_mode not in ("identity", "pluggable"):
-        raise ValueError("warp mode must be identity or pluggable")
     if cfg.edge_update_mode not in ("features", "weights"):
         raise ValueError("edge update mode must be features or weights")
     if cfg.crop_height <= 0 or cfg.crop_width <= 0:

@@ -76,7 +76,7 @@ class Pose:
             raise ValueError("pose conf/visible must have shape (K,)")
         if not np.isfinite(coords).all():
             raise ValueError("pose coordinates must be finite")
-        if ((conf < 0.0) | (conf > 1.0)).any():
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():  # NaN fails both bounds
             raise ValueError("pose confidences must lie in [0, 1]")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "conf", conf)
@@ -124,7 +124,10 @@ class Detection:
         if not (0.0 <= self.score <= 1.0):
             raise ValueError("detection score must lie in [0, 1]")
         if self.appearance is not None:
-            object.__setattr__(self, "appearance", _frozen_array(self.appearance))
+            appearance = _frozen_array(self.appearance)
+            if not np.isfinite(appearance).all():
+                raise ValueError("detection appearance must be finite")
+            object.__setattr__(self, "appearance", appearance)
         if self.heatmaps is not None:
             hm = _frozen_array(self.heatmaps)
             if hm.ndim != 3 or hm.shape[0] != self.pose.keypoint_count:

@@ -1,34 +1,11 @@
-"""Temporal person similarities: IoU, the three OKS variants, warping, and
-the raw track/detection edge-feature tensor."""
+"""Temporal person similarities: IoU, the three OKS variants, and the raw
+track/detection edge-feature tensor."""
 from __future__ import annotations
-
-from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .config import EngineConfig, kappa_array
-from .datatypes import Box, Detection, Pose, Track
-
-Warper = Callable[[Pose, Box], Tuple[Pose, Box]]
-
-_registered_warper: Optional[Warper] = None
-
-
-def register_warper(fn: Optional[Warper]):
-    """Install (or clear, with None) the warper used in pluggable mode."""
-    global _registered_warper
-    _registered_warper = fn
-
-
-def warp_track(track: Track, mode: str) -> Tuple[Pose, Box]:
-    """Carry a track's last pose and box into the current frame."""
-    if mode == "identity":
-        return track.last_pose, track.last_box
-    if mode == "pluggable":
-        if _registered_warper is None:
-            raise RuntimeError("warp mode is pluggable but no warper is registered")
-        return _registered_warper(track.last_pose, track.last_box)
-    raise ValueError(f"unknown warp mode: {mode!r}")
+from .datatypes import Box, Pose
 
 
 def iou(a: Box, b: Box) -> float:
@@ -71,12 +48,12 @@ def oks_triplet(p: Pose, q: Pose, scale_box: Box, kappas: np.ndarray) -> np.ndar
 
 def edge_features(tracks, dets, cfg: EngineConfig) -> np.ndarray:
     """T x D x 4 tensor of [iou, oks_shared, oks_over_track, oks_over_det]
-    between every warped track and every detection."""
+    between every track's last pose and box and every detection."""
     kappas = kappa_array(cfg)
     out = np.zeros((len(tracks), len(dets), 4))
     for j, track in enumerate(tracks):
-        wpose, wbox = warp_track(track, cfg.warp_mode)
+        pose, box = track.last_pose, track.last_box
         for i, det in enumerate(dets):
-            out[j, i, 0] = iou(wbox, det.box)
-            out[j, i, 1:] = oks_triplet(wpose, det.pose, wbox, kappas)
+            out[j, i, 0] = iou(box, det.box)
+            out[j, i, 1:] = oks_triplet(pose, det.pose, box, kappas)
     return out

@@ -7,6 +7,7 @@ the `gradcheck` CLI subcommand.
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -15,14 +16,7 @@ import numpy as np
 from . import nn
 from .config import EngineConfig
 from .spapde import init_spapde_params, spapde_forward, spapde_modulation
-from .training import (
-    ce_label_smooth,
-    center_loss,
-    loss_attn,
-    loss_match,
-    total_loss,
-    triplet_loss,
-)
+from .training import loss_attn, loss_match, total_loss
 from .transformer import TrackingModel, dual_source_attention
 
 TOL = 1e-4
@@ -94,10 +88,6 @@ def _check_gelu(rng):
 
 def _check_sigmoid(rng):
     return lambda v: nn.sigmoid(v), [_t(rng, 3, 4, scale=2.0)]
-
-
-def _check_exp(rng):
-    return lambda v: nn.exp(v), [_t(rng, 3, 4)]
 
 
 def _check_log(rng):
@@ -300,27 +290,6 @@ def _check_total_loss(rng):
     return run, [m, e, d]
 
 
-def _check_triplet(rng):
-    a, p, n = _t(rng, 5), _t(rng, 5), _t(rng, 5, scale=2.0)
-
-    def skip(inputs):
-        av, pv, nv = (i.data for i in inputs)
-        gap = 1.0 + np.linalg.norm(av - pv) - np.linalg.norm(av - nv)
-        if abs(gap) < 1e-3:
-            return "hinge boundary"
-        return None
-    return (lambda x, y, z: triplet_loss(x, y, z, margin=1.0), [a, p, n], skip)
-
-
-def _check_center(rng):
-    e, c = _t(rng, 4, 3), _t(rng, 2, 3)
-    return lambda x, y: center_loss(x, [0, 1, 1, 0], y), [e, c]
-
-
-def _check_ce_smooth(rng):
-    return lambda lg: ce_label_smooth(lg, 2, 0.1), [_t(rng, 5, scale=2.0)]
-
-
 CHECKS: List = [
     ("op add", _check_add),
     ("op mul", _check_mul),
@@ -329,7 +298,6 @@ CHECKS: List = [
     ("op relu", _check_relu),
     ("op gelu", _check_gelu),
     ("op sigmoid", _check_sigmoid),
-    ("op exp", _check_exp),
     ("op log", _check_log),
     ("op sqrt", _check_sqrt),
     ("op reciprocal", _check_reciprocal),
@@ -355,9 +323,6 @@ CHECKS: List = [
     ("loss match", _check_loss_match),
     ("loss attn", _check_loss_attn),
     ("loss total", _check_total_loss),
-    ("loss triplet", _check_triplet),
-    ("loss center", _check_center),
-    ("loss ce_label_smooth", _check_ce_smooth),
 ]
 
 
@@ -365,7 +330,8 @@ def run_suite(seeds: int = 5, base_seed: int = 0) -> List[CheckOutcome]:
     outcomes = []
     for name, builder in CHECKS:
         for k in range(seeds):
-            rng = np.random.default_rng(base_seed + 1000 * k + hash(name) % 997)
+            # crc32, not hash(): str hashes change with every interpreter run
+            rng = np.random.default_rng(base_seed + 1000 * k + zlib.crc32(name.encode()) % 997)
             built = builder(rng)
             if len(built) == 3:
                 fn, inputs, skip_if = built

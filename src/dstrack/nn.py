@@ -243,19 +243,6 @@ def sigmoid(x) -> Tensor:
     return out
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    e = np.exp(x.data)
-    out = Tensor(e, parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate(g * e)
-
-    out._backward = backward
-    return out
-
-
 def log(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.log(x.data), parents=(x,))
@@ -491,12 +478,6 @@ def layer_norm(x, gain=None, bias=None, eps=LN_EPS) -> Tensor:
     return out
 
 
-def layer_norm_degenerate(x, eps=LN_EPS) -> bool:
-    """True when some row's variance is too small for a stable gradient check."""
-    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    return bool((data.var(axis=-1) < 10.0 * eps).any())
-
-
 def ffn(x, w1, b1, w2, b2) -> Tensor:
     """Position-wise feed-forward block: linear -> GELU -> linear."""
     return linear(gelu(linear(x, w1, b1)), w2, b2)
@@ -681,10 +662,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("not a checkpoint file (bad magic)")
-        version, hlen = struct.unpack("<II", f.read(8))
+        fixed = f.read(8)
+        if len(fixed) != 8:
+            raise ValueError("checkpoint header truncated")
+        version, hlen = struct.unpack("<II", fixed)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        blob = f.read(hlen)
+        if len(blob) != hlen:
+            raise ValueError("checkpoint header truncated")
+        header = json.loads(blob.decode("utf-8"))
+        if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+            raise ValueError("checkpoint header has no tensors list")
         out = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])

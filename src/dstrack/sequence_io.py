@@ -94,7 +94,7 @@ def load_sequence(path: str) -> SequenceFile:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"malformed JSON: {e}") from e
-    if not isinstance(doc, dict) or "frames" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise ValueError("sequence file needs a top-level frames list")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -104,17 +104,30 @@ def load_sequence(path: str) -> SequenceFile:
     frames: List[SequenceFrame] = []
     last_index = None
     kp_count = None
-    for fd in doc["frames"]:
-        _warn_unknown(fd, _KNOWN_FRAME, f"frame {fd.get('index')}")
+    for n, fd in enumerate(doc["frames"]):
+        if not isinstance(fd, dict) or "index" not in fd:
+            raise ValueError(f"frame {n} in the frames list needs an index")
+        _warn_unknown(fd, _KNOWN_FRAME, f"frame {fd['index']}")
         index = int(fd["index"])
         if last_index is not None and index <= last_index:
             raise ValueError("non-monotone frame index")
         last_index = index
         dets: List[Detection] = []
         idents: List[Optional[int]] = []
-        for dd in fd.get("detections", []):
-            _warn_unknown(dd, _KNOWN_DET, f"detection in frame {index}")
-            det = Detection.from_dict(dd)
+        raw_dets = fd.get("detections", [])
+        if not isinstance(raw_dets, list):
+            raise ValueError(f"frame {index}: detections must be a list")
+        for j, dd in enumerate(raw_dets):
+            where = f"frame {index}, detection {j}"
+            if not isinstance(dd, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            _warn_unknown(dd, _KNOWN_DET, where)
+            try:
+                det = Detection.from_dict(dd)
+            except KeyError as e:
+                raise ValueError(f"{where}: missing field {e}") from None
+            except (TypeError, IndexError, ValueError) as e:
+                raise ValueError(f"{where}: {e}") from None
             if kp_count is None:
                 kp_count = det.pose.keypoint_count
             elif det.pose.keypoint_count != kp_count:

@@ -131,9 +131,3 @@ def appearance_embed_batch(crops, heatmaps, store: nn.ParamStore, cfg: EngineCon
             hm = pool_heatmaps(hm)
     pooled = nn.reduce_mean(x, axis=(2, 3))
     return nn.linear(pooled, store["backbone.head.w"], store["backbone.head.b"])
-
-
-def appearance_embed(crop, heatmaps, store: nn.ParamStore, cfg: EngineConfig) -> nn.Tensor:
-    """Single-person convenience wrapper around appearance_embed_batch."""
-    hm = None if heatmaps is None else np.asarray(heatmaps)[None]
-    return appearance_embed_batch(np.asarray(crop)[None], hm, store, cfg)[0]

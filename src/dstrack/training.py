@@ -8,7 +8,7 @@ a whole sub-sequence and are cut between sub-sequences.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,13 +21,6 @@ from .transformer import TrackingModel
 
 PROB_EPS = 1e-12
 GREEDY_OKS_FLOOR = 0.3
-
-# training-schedule values used in the original full-scale setup, kept for
-# reference and for configs that want them; the toy defaults below are tuned
-# for 200-iteration runs on synthetic data
-FULL_SCALE_LR = 1e-4
-FULL_SCALE_WARMUP_ITERS = 16000
-FULL_SCALE_DECAY_FACTOR = 10
 
 TOY_LR = 3e-3
 TOY_WARMUP_ITERS = 10
@@ -87,14 +80,12 @@ def greedy_identity_assignment(det_poses: Sequence[Pose], gt_poses: Sequence[Pos
 # losses
 
 def loss_match(match: nn.Tensor, det_identity: Sequence[Optional[int]],
-               track_identity: Sequence[Optional[int]],
-               linear_null_term: bool = False) -> nn.Tensor:
+               track_identity: Sequence[Optional[int]]) -> nn.Tensor:
     """Cross-entropy on the assignment matrix (detections x tracks+null).
 
     A labeled detection whose identity appears in the track set is pushed
     toward that track's column, every other detection toward the null
-    column.  linear_null_term switches the null term from -log(p) to -p, the
-    uncommon linear form.
+    column.
     """
     n_det = match.data.shape[0]
     n_track = match.data.shape[1] - 1
@@ -105,11 +96,7 @@ def loss_match(match: nn.Tensor, det_identity: Sequence[Optional[int]],
     for i in range(n_det):
         ident = det_identity[i]
         col = track_col.get(ident, n_track) if ident is not None else n_track
-        p = nn.clip(match[i, col], PROB_EPS, 1.0)
-        if linear_null_term and col == n_track:
-            terms.append(p)
-        else:
-            terms.append(nn.log(p))
+        terms.append(nn.log(nn.clip(match[i, col], PROB_EPS, 1.0)))
     total = terms[0]
     for t in terms[1:]:
         total = total + t
@@ -149,38 +136,6 @@ def total_loss(match_term: nn.Tensor, enc_terms: Sequence[nn.Tensor],
     for t in list(enc_terms) + list(dec_terms):
         out = out + t
     return out
-
-
-def _sq_dist(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
-    d = a - b
-    return nn.reduce_sum(d * d)
-
-
-def triplet_loss(anchor, pos, neg, margin: float = 0.3) -> nn.Tensor:
-    """Hinge on Euclidean distances: max(0, margin + d(a,p) - d(a,n))."""
-    d_pos = nn.sqrt(_sq_dist(nn.as_tensor(anchor), nn.as_tensor(pos)) + 1e-12)
-    d_neg = nn.sqrt(_sq_dist(nn.as_tensor(anchor), nn.as_tensor(neg)) + 1e-12)
-    return nn.relu(d_pos - d_neg + margin)
-
-
-def center_loss(embeds: nn.Tensor, ids: Sequence[int], centers: nn.Tensor) -> nn.Tensor:
-    """Mean squared distance of each embedding to its class center."""
-    ids = np.asarray(ids, dtype=np.int64)
-    picked = centers[ids]
-    diff = nn.as_tensor(embeds) - picked
-    return nn.reduce_mean(nn.reduce_sum(diff * diff, axis=1))
-
-
-def ce_label_smooth(logits: nn.Tensor, target: int, smooth: float = 0.1) -> nn.Tensor:
-    """Cross-entropy with a label-smoothed target distribution."""
-    logits = nn.as_tensor(logits)
-    n = logits.data.shape[-1]
-    shift = logits - nn.Tensor(np.array(logits.data.max()))
-    logz = nn.log(nn.reduce_sum(nn.exp(shift)))
-    logp = shift - logz
-    q = np.full(n, smooth / n)
-    q[target] += 1.0 - smooth
-    return nn.mul(nn.reduce_sum(nn.mul(logp, q)), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +235,10 @@ def inject_duplicate(frame: LabeledFrame, rng: np.random.Generator,
 
 @dataclass
 class _TeacherTrack:
-    identity: int
-    pose: Pose
-    box: Box
+    """Teacher-forced track geometry, the two fields edge_features reads."""
+
+    last_pose: Pose
+    last_box: Box
 
 
 def _frame_labels(frame: LabeledFrame, cfg: EngineConfig) -> IdentityLabels:
@@ -398,19 +354,18 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
     for ident, group in labels0.groups().items():
         det = frames[0].detections[group[0]]
         track_ids.append(ident)
-        teacher.append(_TeacherTrack(ident, det.pose, det.box))
+        teacher.append(_TeacherTrack(det.pose, det.box))
         rows.append(group[0])
     e_t = model.new_track_head(nn.take(enc_out, (np.asarray(rows),))) if rows \
         else nn.Tensor(np.zeros((0, cfg.d)))
 
     for frame in frames[1:]:
         labels = _frame_labels(frame, cfg)
-        raw = _teacher_edge_features(teacher, frame.detections, cfg)
+        raw = edge_features(teacher, frame.detections, cfg)
         e_d = _detection_matrix(frame, cfg)
         fwd = model.forward_frame(e_t, raw, e_d)
 
-        match_acc = match_acc + loss_match(fwd.match, labels.det_identity, track_ids,
-                                           linear_null_term=False)
+        match_acc = match_acc + loss_match(fwd.match, labels.det_identity, track_ids)
         groups = labels.groups()
         track_groups = [groups.get(ident, []) for ident in track_ids]
         for k in range(n_dec):
@@ -436,15 +391,6 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
     )
 
 
-def _teacher_edge_features(teacher: List[_TeacherTrack], dets: List[Detection],
-                           cfg: EngineConfig) -> np.ndarray:
-    from .datatypes import Track
-
-    pseudo = [Track(id=k, embedding=np.zeros(1), last_pose=t.pose, last_box=t.box)
-              for k, t in enumerate(teacher)]
-    return edge_features(pseudo, dets, cfg)
-
-
 def _advance_state(model: TrackingModel, fwd, frame: LabeledFrame,
                    labels: IdentityLabels, track_ids: List[int],
                    teacher: List[_TeacherTrack], cfg: EngineConfig):
@@ -458,7 +404,7 @@ def _advance_state(model: TrackingModel, fwd, frame: LabeledFrame,
         group = groups.get(ident, [])
         if group:
             det = frame.detections[group[0]]
-            new_teacher.append(_TeacherTrack(ident, det.pose, det.box))
+            new_teacher.append(_TeacherTrack(det.pose, det.box))
         else:
             new_teacher.append(teacher[pos])
     e_t = fwd.updated_tracks
@@ -469,7 +415,7 @@ def _advance_state(model: TrackingModel, fwd, frame: LabeledFrame,
             continue
         det = frame.detections[group[0]]
         new_track_ids.append(ident)
-        new_teacher.append(_TeacherTrack(ident, det.pose, det.box))
+        new_teacher.append(_TeacherTrack(det.pose, det.box))
         fresh_rows.append(group[0])
     if fresh_rows:
         fresh = model.new_track_head(nn.take(fwd.enc_out, (np.asarray(fresh_rows),)))

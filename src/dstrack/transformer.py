@@ -40,8 +40,6 @@ class FrameForward:
 
     enc_out: nn.Tensor                 # D x d encoded detections
     enc_attn: List[nn.Tensor]          # per encoder stage, D x (D+1)
-    edge0: nn.Tensor                   # T x D x d_e initial edge embeddings
-    edge_final: nn.Tensor              # T x D x d_e after the last decoder refresh
     bundles: List[AttentionBundle]     # per decoder stage
     decoder_out: nn.Tensor             # T x d, pre-head
     head_out: nn.Tensor                # T x d, track embedding head output
@@ -293,7 +291,6 @@ class TrackingModel:
         updated, gate = self.confidence_update(bundles, e_t_old, head_out)
         match = self.matching_layer(updated, enc_out, edge_final, alpha)
         return FrameForward(
-            enc_out=enc_out, enc_attn=enc_attn, edge0=edge0, edge_final=edge_final,
-            bundles=bundles, decoder_out=dec_out, head_out=head_out,
-            updated_tracks=updated, update_gate=gate, match=match,
+            enc_out=enc_out, enc_attn=enc_attn, bundles=bundles, decoder_out=dec_out,
+            head_out=head_out, updated_tracks=updated, update_gate=gate, match=match,
         )

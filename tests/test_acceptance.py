@@ -8,6 +8,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from dstrack import nn
 from dstrack.config import EngineConfig
@@ -23,6 +24,7 @@ from dstrack.transformer import dual_source_attention, TrackingModel
 
 SMALL = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
                      ffn_hidden=32)
+assert dataclasses.replace(SMALL, edge_update_mode="features") == SMALL
 
 
 def _line(n, label, ok, detail):
@@ -246,12 +248,23 @@ def test_criterion_4_tracking_scenarios():
     assert max(times) < 10.0, times
 
 
-def test_criterion_5_training_progress():
+def train_crowd_models(cfg):
+    """The three seeds criteria 5 and 7 train, on two crowd sequences."""
     train = [labeled_frames(crowd(0)), labeled_frames(crowd(1))]
+    return [train_toy(train, cfg, seed=seed, n_iters=200) for seed in (0, 1, 2)]
+
+
+@pytest.fixture(scope="module")
+def features_models():
+    """SMALL already uses edge_update_mode="features", so criterion 7's
+    features arm is exactly criterion 5's three runs; train them once."""
+    return train_crowd_models(SMALL)
+
+
+def test_criterion_5_training_progress(features_models):
     held = crowd(99)
     drops, accs = [], []
-    for seed in (0, 1, 2):
-        model, curve = train_toy(train, SMALL, seed=seed, n_iters=200)
+    for model, curve in features_models:
         totals = [row.total for row in curve]
         drops.append(1.0 - np.mean(totals[-10:]) / np.mean(totals[:10]))
         accs.append(evaluate(track_seq(held, model), held).association_accuracy)
@@ -355,17 +368,14 @@ def test_criterion_6_lifecycle_fuzz():
     assert covered, (n_match, n_dup, n_new, n_closed)
 
 
-def test_criterion_7_edge_update_ablation():
-    train = [labeled_frames(crowd(0)), labeled_frames(crowd(1))]
+def test_criterion_7_edge_update_ablation(features_models):
     held = crowd(99)
-    accs = {}
-    for mode in ("features", "weights"):
-        cfg = dataclasses.replace(SMALL, edge_update_mode=mode)
-        accs[mode] = []
-        for seed in (0, 1, 2):
-            model, _ = train_toy(train, cfg, seed=seed, n_iters=200)
-            rep = evaluate(track_seq(held, model), held)
-            accs[mode].append(rep.association_accuracy)
+    runs = {"features": features_models,
+            "weights": train_crowd_models(
+                dataclasses.replace(SMALL, edge_update_mode="weights"))}
+    accs = {mode: [evaluate(track_seq(held, model), held).association_accuracy
+                   for model, _ in models]
+            for mode, models in runs.items()}
     ok = all(w <= f for w, f in zip(accs["weights"], accs["features"]))
     _line(7, "edge update ablation",
           ok, f"weights {['%.3f' % a for a in accs['weights']]} <= "

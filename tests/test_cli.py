@@ -1,7 +1,15 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dstrack
+from dstrack import nn
 from dstrack.cli import main
 from dstrack.sequence_io import load_sequence
 
@@ -167,3 +175,75 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "gradient suite passed" in out
     assert "FAIL" not in out
+
+
+def test_gradcheck_output_independent_of_hash_seed():
+    src = str(Path(dstrack.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("1", "2"):
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-m", "dstrack.cli", "gradcheck", "--seeds", "1"],
+                              env=env, capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert b"gradient suite passed" in outs[0]
+
+
+def assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def short_sequence(tmp_path, cfg_path):
+    seq = tmp_path / "seq.json"
+    run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "2",
+         "--config", cfg_path, "--out", str(seq)])
+    return seq
+
+
+def _header_without_tensors(_full):
+    blob = json.dumps({"version": nn.CHECKPOINT_VERSION}).encode()
+    return nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(blob)) + blob
+
+
+# a checkpoint starts with 4 magic bytes, then version and header length
+@pytest.mark.parametrize("damage", [
+    lambda full: full[:4],
+    lambda full: full[:12 + 5],
+    _header_without_tensors,
+], ids=["cut_after_magic", "cut_inside_header", "header_without_tensors"])
+def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage):
+    seq = short_sequence(tmp_path, cfg_path)
+    good = tmp_path / "good.ckpt"
+    nn.save_checkpoint(str(good), {"w": np.zeros(3)})
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(damage(good.read_bytes()))
+    capsys.readouterr()
+    assert run(["track", str(seq), "--config", cfg_path, "--weights", str(bad)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def _drop_box(doc):
+    del doc["frames"][1]["detections"][2]["box"]
+
+
+def _detections_not_list(doc):
+    doc["frames"][0]["detections"] = {"box": None}
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_box, "frame 1, detection 2: missing field 'box'"),
+    (_detections_not_list, "frame 0: detections must be a list"),
+])
+def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
+    seq = short_sequence(tmp_path, cfg_path)
+    doc = json.loads(seq.read_text())
+    damage(doc)
+    seq.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["track", str(seq), "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert message in err

@@ -61,8 +61,6 @@ def test_kappa_validation():
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError, match="warp mode"):
-        validate_config(EngineConfig(warp_mode="flow"))
     with pytest.raises(ValueError, match="edge update mode"):
         validate_config(EngineConfig(edge_update_mode="nope"))
 

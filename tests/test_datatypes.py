@@ -40,6 +40,8 @@ def test_pose_validation():
         Pose(coords=[[np.nan, 0.0]], conf=[0.5], visible=[True])
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         Pose(coords=[[0.0, 0.0]], conf=[1.5], visible=[True])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        Pose(coords=[[0.0, 0.0], [1.0, 1.0]], conf=[0.5, np.nan], visible=[True, True])
 
 
 def test_pose_arrays_are_read_only():
@@ -73,6 +75,9 @@ def test_detection_validation():
         Detection(box=box, pose=pose, score=2.0)
     with pytest.raises(ValueError, match="heatmaps"):
         Detection(box=box, pose=pose, heatmaps=np.zeros((5, 8, 8)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="appearance must be finite"):
+            Detection(box=box, pose=pose, appearance=[0.0, bad, 1.0])
     d = Detection(box=box, pose=pose, heatmaps=np.zeros((3, 8, 8)))
     assert d.heatmaps.shape == (3, 8, 8)
 

@@ -1,18 +1,11 @@
-"""IoU / OKS / warping, checked against scalar hand evaluations and a
+"""IoU / OKS / edge features, checked against scalar hand evaluations and a
 pairwise-loop oracle."""
 import numpy as np
 import pytest
 
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose, Track
-from dstrack import geometry
-from dstrack.geometry import edge_features, iou, oks_triplet, register_warper, warp_track
-
-
-@pytest.fixture(autouse=True)
-def clean_warper():
-    yield
-    register_warper(None)
+from dstrack.geometry import edge_features, iou, oks_triplet
 
 
 def pose_at(coords, conf=None, visible=None):
@@ -140,35 +133,11 @@ def test_oks_mismatched_k_raises():
 
 
 # ---------------------------------------------------------------------------
-# warping
+# edge features
 
 def make_track(coords, box, tid=0):
     return Track(id=tid, embedding=np.zeros(4), last_pose=pose_at(coords), last_box=box)
 
-
-def test_identity_warp_returns_inputs():
-    t = make_track([[1, 2], [3, 4]], Box(0, 0, 10, 10))
-    pose, box = warp_track(t, "identity")
-    assert pose is t.last_pose
-    assert box is t.last_box
-
-
-def test_pluggable_warp_requires_registration():
-    t = make_track([[1, 2]], Box(0, 0, 10, 10))
-    with pytest.raises(RuntimeError, match="no warper is registered"):
-        warp_track(t, "pluggable")
-
-
-def test_pluggable_warp_applies_offset():
-    t = make_track([[1, 2], [3, 4]], Box(0, 0, 10, 10))
-    register_warper(lambda pose, box: (pose.shifted(5.0, 0.0), box.shifted(5.0, 0.0)))
-    pose, box = warp_track(t, "pluggable")
-    np.testing.assert_allclose(pose.coords, [[6, 2], [8, 4]])
-    assert box.x_min == 5.0
-
-
-# ---------------------------------------------------------------------------
-# edge features
 
 def cfg_k5():
     return EngineConfig(d=8, keypoint_count=5, oks_kappas=(0.1,) * 5)
@@ -215,12 +184,3 @@ def test_edge_features_match_pairwise_oracle(seed):
             expect = oks_triplet(t.last_pose, d.pose, t.last_box, kap)
             np.testing.assert_allclose(feats[j, i, 1:], expect, atol=1e-6)
     assert (feats >= 0).all() and (feats <= 1).all()
-
-
-def test_edge_features_respect_registered_warper():
-    cfg = EngineConfig(d=8, keypoint_count=5, oks_kappas=(0.1,) * 5, warp_mode="pluggable")
-    register_warper(lambda pose, box: (pose.shifted(10.0, 0.0), box.shifted(10.0, 0.0)))
-    det = Detection(box=Box(10, 0, 20, 10), pose=pose_at(np.tile([12.0, 2.0], (5, 1))))
-    track = make_track(np.full((5, 2), 2.0), Box(0, 0, 10, 10))
-    feats = edge_features([track], [det], cfg)
-    np.testing.assert_allclose(feats[0, 0], np.ones(4), atol=1e-12)

@@ -83,6 +83,18 @@ def test_malformed_json(tmp_path):
         load_sequence(path)
 
 
+@pytest.mark.parametrize("frames, message", [
+    ({"0": {}}, "top-level frames list"),
+    ([{"image_size": [64, 64]}], "frame 0 in the frames list needs an index"),
+    (["frame"], "frame 0 in the frames list needs an index"),
+])
+def test_malformed_frames_list(tmp_path, frames, message):
+    path = tmp_path / "frames.json"
+    path.write_text(json.dumps({"schema_version": 1, "frames": frames}))
+    with pytest.raises(ValueError, match=message):
+        load_sequence(path)
+
+
 def test_non_monotone_frames(tmp_path):
     path = tmp_path / "order.json"
     doc = {"schema_version": 1, "frames": [

@@ -1,9 +1,13 @@
 """Numeric core: forward values against hand-computed references, gradients
 against central differences, checkpoint round-trips."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dstrack import nn
+from dstrack.gradsuite import CHECKS
 
 
 def t(x, grad=True):
@@ -162,6 +166,22 @@ def test_graph_reuse_accumulates():
 # ---------------------------------------------------------------------------
 # gradient checks per op
 
+def test_gradsuite_covers_every_op_the_engine_calls():
+    """Every nn.<name> the package uses outside nn.py and gradsuite.py is
+    either plumbing or named by an "op ..." check of the gradcheck suite."""
+    plumbing = {"Tensor", "ParamStore", "as_tensor", "load_checkpoint", "save_checkpoint"}
+    used = set()
+    for path in Path(nn.__file__).parent.glob("*.py"):
+        if path.name in ("nn.py", "gradsuite.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "nn":
+                used.add(node.attr)
+    checked = {op for name, _ in CHECKS if name.startswith("op ")
+               for op in name.split()[1].split("+")}
+    assert used - plumbing - checked == set()
+
+
 def _check(fn, *arrays, seed=0, tol=1e-4):
     inputs = [t(a) for a in arrays]
     res = nn.grad_check(fn, inputs, rng=np.random.default_rng(seed))
@@ -175,7 +195,6 @@ def test_gradcheck_elementwise_ops(seed):
     x = rng.standard_normal((3, 4))
     _check(nn.gelu, x, seed=seed)
     _check(nn.sigmoid, x, seed=seed)
-    _check(nn.exp, x * 0.5, seed=seed)
     _check(nn.log, np.abs(x) + 0.5, seed=seed)
     _check(nn.sqrt, np.abs(x) + 0.5, seed=seed)
     # keep relu probes away from the kink
@@ -220,7 +239,7 @@ def test_gradcheck_layer_norm_degenerate_row_is_flagged():
         nn.layer_norm,
         [x],
         skip_if=lambda ts: "degenerate layer_norm input"
-        if nn.layer_norm_degenerate(ts[0])
+        if (ts[0].data.var(axis=-1) < 10.0 * nn.LN_EPS).any()
         else "",
     )
     assert res.skipped

@@ -5,7 +5,6 @@ from dstrack import nn
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Pose
 from dstrack.spapde import (
-    appearance_embed,
     appearance_embed_batch,
     init_backbone_params,
     init_spapde_params,
@@ -184,8 +183,8 @@ def test_embed_deterministic():
     crop = rng.uniform(size=(3, 16, 8))
     pose = pose_in_crop([[2, 3], [5, 8], [1, 12], [6, 6]])
     hm = render_heatmaps(pose, 16, 8, kernel_width=2.0)
-    e1 = appearance_embed(crop, hm, store, cfg)
-    e2 = appearance_embed(crop, hm, store, cfg)
+    e1 = appearance_embed_batch(crop[None], hm[None], store, cfg)[0]
+    e2 = appearance_embed_batch(crop[None], hm[None], store, cfg)[0]
     np.testing.assert_array_equal(e1.data, e2.data)
     assert e1.data.shape == (8,)
 
@@ -198,15 +197,15 @@ def test_embed_sensitive_to_pose(seed):
     crop = rng.uniform(size=(3, 16, 8))
     h1 = render_heatmaps(pose_in_crop([[1, 1], [2, 2], [1, 3], [3, 1]]), 16, 8, 2.0)
     h2 = render_heatmaps(pose_in_crop([[6, 14], [5, 12], [7, 10], [4, 13]]), 16, 8, 2.0)
-    e1 = appearance_embed(crop, h1, store, cfg).data
-    e2 = appearance_embed(crop, h2, store, cfg).data
+    e1 = appearance_embed_batch(crop[None], h1[None], store, cfg)[0].data
+    e2 = appearance_embed_batch(crop[None], h2[None], store, cfg)[0].data
     assert np.linalg.norm(e1 - e2) > 1e-6
 
 
 def test_embed_zero_everything_finite():
     cfg = small_cfg()
     store = build_backbone(cfg)
-    e = appearance_embed(np.zeros((3, 16, 8)), np.zeros((4, 16, 8)), store, cfg)
+    e = appearance_embed_batch(np.zeros((1, 3, 16, 8)), np.zeros((1, 4, 16, 8)), store, cfg)[0]
     assert np.isfinite(e.data).all()
 
 

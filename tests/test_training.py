@@ -12,8 +12,6 @@ from dstrack.training import (
     IdentityLabels,
     LabeledFrame,
     LrSchedule,
-    ce_label_smooth,
-    center_loss,
     greedy_identity_assignment,
     inject_duplicate,
     loss_attn,
@@ -21,7 +19,6 @@ from dstrack.training import (
     subsequences,
     total_loss,
     train_toy,
-    triplet_loss,
 )
 from dstrack.transformer import TrackingModel
 
@@ -136,14 +133,6 @@ def test_loss_match_monotone_in_correct_mass():
     assert float(better.data) < float(worse.data)
 
 
-def test_loss_match_linear_null_term_switch():
-    m = [[0.3, 0.7]]
-    standard = loss_match(M_rows(m), [None], [5], linear_null_term=False)
-    literal = loss_match(M_rows(m), [None], [5], linear_null_term=True)
-    assert float(standard.data) == pytest.approx(-np.log(0.7), rel=1e-12)
-    assert float(literal.data) == pytest.approx(-0.7, rel=1e-12)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_loss_match_gradcheck(seed):
     rng = np.random.default_rng(seed)
@@ -208,69 +197,6 @@ def test_total_loss_arithmetic():
     total = total_loss(z(1.0), [z(0.5), z(0.5)], [z(0.25), z(0.25)])
     assert float(total.data) == pytest.approx(2.5, rel=1e-12)
     assert float(total_loss(z(0), [z(0)], [z(0)]).data) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# re-id style losses
-
-def test_triplet_inactive_hinge():
-    a = nn.Tensor(np.array([0.0, 0.0]))
-    n = nn.Tensor(np.array([10.0, 0.0]))
-    loss = triplet_loss(a, a, n, margin=0.5)
-    assert float(loss.data) == pytest.approx(0.0, abs=1e-5)
-
-
-def test_triplet_active_hinge_value():
-    a = nn.Tensor(np.array([0.0]))
-    p = nn.Tensor(np.array([1.0]))
-    n = nn.Tensor(np.array([2.0]))
-    loss = triplet_loss(a, p, n, margin=0.3)
-    # d(a,p)=1, d(a,n)=2 -> max(0, 0.3 + 1 - 2) = 0; move neg closer
-    assert float(loss.data) == pytest.approx(0.0, abs=1e-6)
-    loss2 = triplet_loss(a, p, nn.Tensor(np.array([1.1])), margin=0.3)
-    assert float(loss2.data) == pytest.approx(0.3 + 1.0 - 1.1, abs=1e-6)
-
-
-def test_center_loss_at_centers():
-    centers = nn.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-    embeds = nn.Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]]))
-    assert float(center_loss(embeds, [0, 1, 0], centers).data) == pytest.approx(0.0)
-
-
-def test_center_loss_value():
-    centers = nn.Tensor(np.zeros((1, 2)))
-    embeds = nn.Tensor(np.array([[3.0, 4.0]]))
-    assert float(center_loss(embeds, [0], centers).data) == pytest.approx(25.0)
-
-
-def test_ce_label_smooth_uniform_logits():
-    for c in (2, 5, 9):
-        for eps in (0.0, 0.1, 0.3):
-            logits = nn.Tensor(np.full(c, 1.7))
-            loss = ce_label_smooth(logits, target=0, smooth=eps)
-            assert float(loss.data) == pytest.approx(np.log(c), rel=1e-10)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_reid_losses_gradcheck(seed):
-    rng = np.random.default_rng(seed)
-    a = nn.Tensor(rng.standard_normal(4), requires_grad=True)
-    p = nn.Tensor(rng.standard_normal(4), requires_grad=True)
-    n = nn.Tensor(rng.standard_normal(4), requires_grad=True)
-    res = nn.grad_check(lambda x, y, z: triplet_loss(x, y, z, margin=1.0), [a, p, n],
-                        rng=np.random.default_rng(seed + 20))
-    assert res.max_rel_error <= 1e-4, res
-
-    emb = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    cen = nn.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-    res = nn.grad_check(lambda e, c: center_loss(e, [0, 1, 0], c), [emb, cen],
-                        rng=np.random.default_rng(seed + 21))
-    assert res.max_rel_error <= 1e-4, res
-
-    lg = nn.Tensor(rng.standard_normal(5), requires_grad=True)
-    res = nn.grad_check(lambda l: ce_label_smooth(l, 2, 0.1), [lg],
-                        rng=np.random.default_rng(seed + 22))
-    assert res.max_rel_error <= 1e-4, res
 
 
 # ---------------------------------------------------------------------------
