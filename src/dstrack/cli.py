@@ -111,6 +111,8 @@ def _load_config(args) -> EngineConfig:
                 fields = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read config {path}: {e}")
+        if not isinstance(fields, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
         unknown = set(fields) - {f.name for f in dataclasses.fields(EngineConfig)}
         if unknown:
             raise UsageError(f"unknown config fields {sorted(unknown)}")

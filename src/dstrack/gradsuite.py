@@ -186,39 +186,40 @@ def _check_avg_pool2(rng):
 def _check_dual_source_attention(rng):
     model = _tiny_model(int(rng.integers(1 << 31)))
     s = model.store
-    e_t, e_d, e_edge = _t(rng, 2, 6), _t(rng, 3, 6), _t(rng, 2, 3, 6)
+    e_t, e_d, o_edge = _t(rng, 2, 6), _t(rng, 3, 6), _t(rng, 2, 3)
     p = "decoder.stage0"
-    params = [s[f"{p}.wq"], s[f"{p}.wk"], s[f"{p}.we"], s[f"{p}.wa"]]
+    params = [s[f"{p}.wq"], s[f"{p}.wk"], s[f"{p}.wa"]]
 
-    def run(et, ed, ee, wq, wk, we, wa):
-        delta, bundle = dual_source_attention(et, ed, ee, 0.3, wq, wk, we, wa)
+    def run(et, ed, oe, wq, wk, wa):
+        delta, bundle = dual_source_attention(et, ed, oe, 0.3, wq, wk, wa)
         return nn.concat([nn.reshape(delta, (12,)),
                           nn.reshape(bundle.fused, (8,))], axis=0)
-    return run, [e_t, e_d, e_edge] + params
+    return run, [e_t, e_d, o_edge] + params
 
 
 def _check_decoder_layer(rng):
     model = _tiny_model(int(rng.integers(1 << 31)))
-    e_t, e_d, e_edge = _t(rng, 2, 6), _t(rng, 3, 6), _t(rng, 2, 3, 6)
+    e_t, e_d, o_edge = _t(rng, 2, 6), _t(rng, 3, 6), _t(rng, 2, 3)
     s = model.store
     extra = [s["decoder.stage0.ffn_e.w1"], s["decoder.stage0.ffn_e.w2"],
-             s["decoder.stage0.ffn.w1"], s["decoder.stage0.ln1.g"]]
+             s["decoder.stage0.ffn.w1"], s["decoder.stage0.ln1.g"],
+             s["decoder.stage1.we"]]
 
-    def run(et, ee, ed, *_params):
-        out_t, out_e, _ = model.decoder_layer(et, ee, ed, 0.3, stage=0)
-        return nn.concat([nn.reshape(out_t, (12,)), nn.reshape(out_e, (36,))], axis=0)
-    return run, [e_t, e_edge, e_d] + extra
+    def run(et, oe, ed, *_params):
+        out_t, out_e, _ = model.decoder_layer(et, oe, ed, 0.3, stage=0)
+        return nn.concat([nn.reshape(out_t, (12,)), nn.reshape(out_e, (6,))], axis=0)
+    return run, [e_t, o_edge, e_d] + extra
 
 
 def _check_matching_layer(rng):
     model = _tiny_model(int(rng.integers(1 << 31)))
-    e_t, e_d, e_edge = _t(rng, 2, 6), _t(rng, 3, 6), _t(rng, 2, 3, 6)
+    e_t, e_d, o_edge = _t(rng, 2, 6), _t(rng, 3, 6), _t(rng, 2, 3)
     s = model.store
-    params = [s["match.wq"], s["match.wk"], s["match.we"]]
+    params = [s["match.wq"], s["match.wk"]]
 
-    def run(et, ed, ee, *_params):
-        return model.matching_layer(et, ed, ee, alpha=0.3)
-    return run, [e_t, e_d, e_edge] + params
+    def run(et, ed, oe, *_params):
+        return model.matching_layer(et, ed, oe, alpha=0.3)
+    return run, [e_t, e_d, o_edge] + params
 
 
 def _check_encoder_stage(rng):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from . import nn
 from .config import EngineConfig
 from .transformer import TrackingModel
 
@@ -115,17 +114,14 @@ def _probe_features(rng, n):
 
 
 def _calibrate_edge_head(model: TrackingModel, rng, gain, floor):
-    """Linearize both LN+GELU blocks, then least-squares fit the final
-    linear layer so channel 0 carries gain * (mean(f) - floor)."""
+    """Linearize both LN+GELU blocks, then least-squares fit the output
+    layer so channel 0 carries gain * (mean(f) - floor)."""
     s = model.store
     d_e = model.cfg.d_e
     for block in ("1", "2"):
         _set(s, f"edge_head.b{block}", _BIAS_SPREAD * _unit_bias(rng, d_e))
         _set(s, f"edge_head.ln{block}.g", np.full(d_e, _LN_EPS))
         _set(s, f"edge_head.ln{block}.b", np.full(d_e, _LN_SHIFT))
-    # identity final layer exposes the hidden activations through edge_head()
-    _set(s, "edge_head.w3", np.eye(d_e))
-    _zero(s, "edge_head.b3")
 
     probes = _probe_features(rng, max(4 * d_e, 200))
     hidden = model.edge_head(probes).data                     # (N, d_e)
@@ -139,9 +135,7 @@ def _calibrate_edge_head(model: TrackingModel, rng, gain, floor):
     b3 = np.zeros(d_e)
     b3[0] = beta[-1]
     _set(s, "edge_head.b3", b3)
-
-    fitted = model.edge_head(probes).data[:, 0]
-    return float(np.max(np.abs(fitted - target)))
+    return float(np.max(np.abs(design @ beta - target)))
 
 
 def build_heuristic_model(cfg: EngineConfig, seed: int = 0,
@@ -180,19 +174,3 @@ def build_heuristic_model(cfg: EngineConfig, seed: int = 0,
 
     model.edge_fit_residual = residual
     return model
-
-
-def matching_edge_logit(model: TrackingModel, features, alpha: float) -> np.ndarray:
-    """End-to-end edge-channel logit the matching layer would see for raw
-    feature rows, assuming the decoder appearance logits are zero (true for
-    heuristic weights).  Diagnostic helper for tests."""
-    s = model.store
-    e = model.edge_head(np.asarray(features, dtype=np.float64))
-    for n in range(model.cfg.n_decoder_stages):
-        p = f"decoder.stage{n}"
-        o = nn.linear(e, s[f"{p}.we"])
-        fused = nn.mul(o, 1.0 - alpha)
-        e = nn.ffn(fused, s[f"{p}.ffn_e.w1"], s[f"{p}.ffn_e.b1"],
-                   s[f"{p}.ffn_e.w2"], s[f"{p}.ffn_e.b2"])
-    out = nn.linear(e, s["match.we"])
-    return out.data[..., 0]

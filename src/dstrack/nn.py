@@ -675,15 +675,19 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
             raise ValueError("checkpoint header has no tensors list")
         out = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+        for n, entry in enumerate(header["tensors"]):
+            name = entry.get("name") if isinstance(entry, dict) else None
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            if not (isinstance(name, str) and isinstance(shape, list)
+                    and all(isinstance(k, int) and k >= 0 for k in shape)):
+                raise ValueError(f"checkpoint header: tensor entry {n} needs a name "
+                                 "and a shape of non-negative integers")
+            shape = tuple(shape)
             count = int(np.prod(shape)) if shape else 1
             raw = f.read(4 * count)
             if len(raw) != 4 * count:
                 raise ValueError("checkpoint payload truncated")
-            out[entry["name"]] = (
-                np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-            )
+            out[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
     return out
 
 

@@ -88,6 +88,13 @@ def _warn_unknown(found: dict, known: set, where: str) -> None:
         warnings.warn(f"ignoring unknown field(s) {extra} in {where}")
 
 
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: expected an integer, got {value!r}") from None
+
+
 def load_sequence(path: str) -> SequenceFile:
     with open(path) as fh:
         try:
@@ -108,7 +115,7 @@ def load_sequence(path: str) -> SequenceFile:
         if not isinstance(fd, dict) or "index" not in fd:
             raise ValueError(f"frame {n} in the frames list needs an index")
         _warn_unknown(fd, _KNOWN_FRAME, f"frame {fd['index']}")
-        index = int(fd["index"])
+        index = _int(fd["index"], f"frame {n} in the frames list: index")
         if last_index is not None and index <= last_index:
             raise ValueError("non-monotone frame index")
         last_index = index
@@ -135,12 +142,17 @@ def load_sequence(path: str) -> SequenceFile:
             dets.append(det)
             idents.append(dd.get("identity"))
         size = fd.get("image_size", [0, 0])
+        if not isinstance(size, list) or len(size) != 2:
+            raise ValueError(f"frame {index}: image_size must be [height, width]")
+        dups = fd.get("duplicates", [])
+        if not isinstance(dups, list):
+            raise ValueError(f"frame {index}: duplicates must be a list")
         frames.append(SequenceFrame(
             index=index,
-            image_size=(int(size[0]), int(size[1])),
+            image_size=tuple(_int(v, f"frame {index}: image_size") for v in size),
             detections=dets,
             identities=idents,
-            duplicates=tuple(int(i) for i in fd.get("duplicates", [])),
+            duplicates=tuple(_int(i, f"frame {index}: duplicates") for i in dups),
         ))
     return SequenceFile(
         sequence_id=str(doc.get("sequence_id", "")),
@@ -182,14 +194,22 @@ def write_results_jsonl(frame_results: Sequence[Tuple[int, FrameResult]], path: 
 def read_results_jsonl(path: str) -> List[Tuple[int, FrameResult]]:
     out = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(result_from_dict(json.loads(line)))
+                record = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"malformed JSON: {e}") from e
+                raise ValueError(f"results line {n}: malformed JSON: {e}") from e
+            if not isinstance(record, dict):
+                raise ValueError(f"results line {n}: not a JSON object")
+            try:
+                out.append(result_from_dict(record))
+            except KeyError as e:
+                raise ValueError(f"results line {n}: missing field {e}") from None
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"results line {n}: {e}") from None
     return out
 
 

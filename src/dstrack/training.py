@@ -92,23 +92,17 @@ def loss_match(match: nn.Tensor, det_identity: Sequence[Optional[int]],
     if n_det == 0:
         return nn.Tensor(np.zeros(()))
     track_col = {ident: j for j, ident in enumerate(track_identity) if ident is not None}
-    terms = []
-    for i in range(n_det):
-        ident = det_identity[i]
-        col = track_col.get(ident, n_track) if ident is not None else n_track
-        terms.append(nn.log(nn.clip(match[i, col], PROB_EPS, 1.0)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return nn.mul(total, -1.0 / n_det)
+    cols = [track_col.get(det_identity[i], n_track) for i in range(n_det)]
+    picked = nn.take(match, (np.arange(n_det), np.asarray(cols)))
+    return nn.mul(nn.reduce_sum(nn.log(nn.clip(picked, PROB_EPS, 1.0))), -1.0 / n_det)
 
 
 def loss_attn(attn: nn.Tensor, row_groups: Sequence[Sequence[int]]) -> nn.Tensor:
     """Duplicate-aware cross-entropy on one attention matrix.
 
-    attn: R x (C+1) row-stochastic; row_groups[r] lists the columns whose
-    probability mass should jointly explain row r.  An empty group routes
-    the row to the null column.
+    attn: R x (C+1) row-stochastic; row_groups[r] lists the distinct columns
+    whose probability mass should jointly explain row r.  An empty group
+    routes the row to the null column.
     """
     rows = attn.data.shape[0]
     n_cols = attn.data.shape[1] - 1
@@ -116,18 +110,11 @@ def loss_attn(attn: nn.Tensor, row_groups: Sequence[Sequence[int]]) -> nn.Tensor
         return nn.Tensor(np.zeros(()))
     if len(row_groups) != rows:
         raise ValueError("one column group required per attention row")
-    terms = []
+    mask = np.zeros(attn.data.shape)
     for r, group in enumerate(row_groups):
-        if len(group):
-            p = attn[r, np.asarray(group)]
-            p = nn.reduce_sum(p)
-        else:
-            p = attn[r, n_cols]
-        terms.append(nn.log(nn.clip(p, PROB_EPS, 1.0)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return nn.mul(total, -1.0 / rows)
+        mask[r, list(group) if len(group) else n_cols] = 1.0
+    p = nn.reduce_sum(nn.mul(attn, mask), axis=1)
+    return nn.mul(nn.reduce_sum(nn.log(nn.clip(p, PROB_EPS, 1.0))), -1.0 / rows)
 
 
 def total_loss(match_term: nn.Tensor, enc_terms: Sequence[nn.Tensor],

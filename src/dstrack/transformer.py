@@ -2,12 +2,15 @@
 
 Track embeddings attend over detections through two parallel channels: an
 appearance channel (dot-product cross-attention on embeddings) and a pose
-channel (a learned scalar readout of per-pair geometry embeddings).  Both
-channels are normalized with an extra null column so a row can place mass on
-"no detection matches me", and the alpha gate blends the two row-stochastic
-matrices:
+channel (per-pair geometry logits).  Both channels are normalized with an
+extra null column so a row can place mass on "no detection matches me", and
+the alpha gate blends the two row-stochastic matrices:
 
     A = alpha * S_appearance + (1 - alpha) * S_geometry
+
+Each per-pair edge embedding is read only through the next layer's 1 x d_e
+readout `we`, so that readout is folded into the layer producing the edge
+(`edge_logits`): only T x D logit matrices pass between layers.
 
 All projection matrices (query, key, edge readout, aggregation) are
 bias-free; feed-forward blocks and heads carry biases.
@@ -54,17 +57,25 @@ def fuse(alpha: float, a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
     return nn.add(nn.mul(a, alpha), nn.mul(b, 1.0 - alpha))
 
 
-def dual_source_attention(e_t, e_d, e_edge, alpha, wq, wk, we, wa):
+def edge_logits(h, w, b, we) -> nn.Tensor:
+    """we . (h w^T + b), of shape h.shape[:-1], for h: ... x k, w: d_e x k,
+    b: d_e, we: 1 x d_e; computed as h . (we w)^T + we . b."""
+    h = nn.as_tensor(h)
+    out = nn.linear(h, nn.matmul(we, w), nn.linear(b, we))
+    return nn.reshape(out, h.data.shape[:-1])
+
+
+def dual_source_attention(e_t, e_d, o_edge, alpha, wq, wk, wa):
     """One attention evaluation: returns (track update, bundle).
 
-    e_t: T x d tracks, e_d: D x d detections, e_edge: T x D x d_e.
+    e_t: T x d tracks, e_d: D x d detections, o_edge: T x D geometry logits.
     """
     d = wq.data.shape[1]
     q = nn.linear(e_t, wq)
     k = nn.linear(e_d, wk)
     o_appear = nn.mul(nn.linear(q, k), 1.0 / np.sqrt(d))        # T x D
-    t_count, d_count = o_appear.data.shape
-    o_edge = nn.reshape(nn.linear(e_edge, we), (t_count, d_count))
+    d_count = o_appear.data.shape[1]
+    o_edge = nn.as_tensor(o_edge)
     s_appear = nn.softmax_null(o_appear)
     s_edge = nn.softmax_null(o_edge)
     fused = fuse(alpha, s_appear, s_edge)
@@ -167,12 +178,12 @@ class TrackingModel:
         return nn.layer_norm(x, s[f"{prefix}.g"], s[f"{prefix}.b"])
 
     def edge_head(self, raw) -> nn.Tensor:
-        """Per-pair geometry MLP, 4 -> d_e, shared across all pairs."""
+        """Per-pair geometry MLP, 4 -> d_e, shared across all pairs, up to its
+        output layer edge_head.w3/b3 (applied by `edge_logits`)."""
         s = self.store
         x = nn.as_tensor(raw)
         x = nn.gelu(self._ln(nn.linear(x, s["edge_head.w1"], s["edge_head.b1"]), "edge_head.ln1"))
-        x = nn.gelu(self._ln(nn.linear(x, s["edge_head.w2"], s["edge_head.b2"]), "edge_head.ln2"))
-        return nn.linear(x, s["edge_head.w3"], s["edge_head.b3"])
+        return nn.gelu(self._ln(nn.linear(x, s["edge_head.w2"], s["edge_head.b2"]), "edge_head.ln2"))
 
     def encoder_forward(self, e_d0):
         """Self-attention stack over detections; no positional encoding.
@@ -198,13 +209,13 @@ class TrackingModel:
             x = self._ln(nn.add(x, self._ffn(x, f"{p}.ffn")), f"{p}.ln2")
         return x, attn
 
-    def decoder_layer(self, e_t, e_edge, e_d, alpha: float, stage: int):
-        """One decoder stage: returns (new e_t, new e_edge, bundle)."""
+    def decoder_layer(self, e_t, o_edge, e_d, alpha: float, stage: int):
+        """One decoder stage: returns (new e_t, new o_edge, bundle); the new
+        T x D logits are the edge refresh read out by the next stage."""
         s = self.store
         p = f"decoder.stage{stage}"
         delta, bundle = dual_source_attention(
-            e_t, e_d, e_edge, alpha,
-            s[f"{p}.wq"], s[f"{p}.wk"], s[f"{p}.we"], s[f"{p}.wa"])
+            e_t, e_d, o_edge, alpha, s[f"{p}.wq"], s[f"{p}.wk"], s[f"{p}.wa"])
         x = self._ln(nn.add(e_t, delta), f"{p}.ln1")
         x = self._ln(nn.add(x, self._ffn(x, f"{p}.ffn")), f"{p}.ln2")
 
@@ -214,16 +225,18 @@ class TrackingModel:
         else:
             gate_in = fuse(alpha, bundle.o_appear, bundle.o_edge)
         scalar = nn.reshape(gate_in, (t_count, d_count, 1))
-        new_edge = nn.ffn(scalar, s[f"{p}.ffn_e.w1"], s[f"{p}.ffn_e.b1"],
-                          s[f"{p}.ffn_e.w2"], s[f"{p}.ffn_e.b2"])
+        h = nn.gelu(nn.linear(scalar, s[f"{p}.ffn_e.w1"], s[f"{p}.ffn_e.b1"]))
+        last = stage + 1 == self.cfg.n_decoder_stages
+        reader = s["match.we"] if last else s[f"decoder.stage{stage + 1}.we"]
+        new_edge = edge_logits(h, s[f"{p}.ffn_e.w2"], s[f"{p}.ffn_e.b2"], reader)
         return x, new_edge, bundle
 
-    def decoder_forward(self, e_t, e_edge, e_d, alpha: float):
+    def decoder_forward(self, e_t, o_edge, e_d, alpha: float):
         bundles = []
         for stage in range(self.cfg.n_decoder_stages):
-            e_t, e_edge, bundle = self.decoder_layer(e_t, e_edge, e_d, alpha, stage)
+            e_t, o_edge, bundle = self.decoder_layer(e_t, o_edge, e_d, alpha, stage)
             bundles.append(bundle)
-        return e_t, e_edge, bundles
+        return e_t, o_edge, bundles
 
     def _head(self, x, prefix):
         s = self.store
@@ -260,18 +273,16 @@ class TrackingModel:
         blended = nn.add(nn.mul(keep, e_t_old), nn.mul(gate, e_t_head))
         return blended, gate.data[:, 0].copy()
 
-    def matching_layer(self, e_t, e_d, e_edge, alpha: float) -> nn.Tensor:
+    def matching_layer(self, e_t, e_d, o_edge, alpha: float) -> nn.Tensor:
         """Detection-major assignment probabilities, D x (T+1); the last
-        column is the no-track probability.  No linear layer after the gate."""
+        column is the no-track probability.  o_edge: T x D geometry logits
+        (read out through match.we).  No linear layer after the gate."""
         s = self.store
         d = self.cfg.d
         q = nn.linear(e_d, s["match.wq"])
         k = nn.linear(e_t, s["match.wk"])
         o_appear = nn.mul(nn.linear(q, k), 1.0 / np.sqrt(d))     # D x T
-        t_count = e_t.data.shape[0]
-        d_count = e_d.data.shape[0]
-        o_edge_tm = nn.reshape(nn.linear(e_edge, s["match.we"]), (t_count, d_count))
-        o_edge = nn.transpose(o_edge_tm)                         # D x T
+        o_edge = nn.transpose(o_edge)                            # D x T
         return fuse(alpha, nn.softmax_null(o_appear), nn.softmax_null(o_edge))
 
     def forward_frame(self, e_t_old, raw_edge, e_d0, alpha: Optional[float] = None) -> FrameForward:
@@ -285,11 +296,13 @@ class TrackingModel:
         alpha = self.cfg.alpha if alpha is None else alpha
         e_t_old = nn.as_tensor(e_t_old)
         enc_out, enc_attn = self.encoder_forward(e_d0)
-        edge0 = self.edge_head(raw_edge)
-        dec_out, edge_final, bundles = self.decoder_forward(e_t_old, edge0, enc_out, alpha)
+        s = self.store
+        o_edge = edge_logits(self.edge_head(raw_edge), s["edge_head.w3"], s["edge_head.b3"],
+                             s["decoder.stage0.we"])
+        dec_out, o_edge, bundles = self.decoder_forward(e_t_old, o_edge, enc_out, alpha)
         head_out = self.track_head(dec_out)
         updated, gate = self.confidence_update(bundles, e_t_old, head_out)
-        match = self.matching_layer(updated, enc_out, edge_final, alpha)
+        match = self.matching_layer(updated, enc_out, o_edge, alpha)
         return FrameForward(
             enc_out=enc_out, enc_attn=enc_attn, bundles=bundles, decoder_out=dec_out,
             head_out=head_out, updated_tracks=updated, update_gate=gate, match=match,

@@ -63,12 +63,12 @@ def test_criterion_2_gate_endpoints_and_loss_constant():
         rng = np.random.default_rng(seed)
         e_t = nn.Tensor(rng.standard_normal((3, 4)))
         e_d = nn.Tensor(rng.standard_normal((2, 4)))
-        e_edge = nn.Tensor(rng.standard_normal((3, 2, 4)))
+        o_edge = nn.Tensor(rng.standard_normal((3, 2)))
         ws = [nn.Tensor(rng.standard_normal(s))
-              for s in [(4, 4), (4, 4), (1, 4), (4, 4)]]
-        _, b1 = dual_source_attention(e_t, e_d, e_edge, 1.0, *ws)
+              for s in [(4, 4), (4, 4), (4, 4)]]
+        _, b1 = dual_source_attention(e_t, e_d, o_edge, 1.0, *ws)
         assert (b1.fused.data == b1.s_appear.data).all()
-        _, b0 = dual_source_attention(e_t, e_d, e_edge, 0.0, *ws)
+        _, b0 = dual_source_attention(e_t, e_d, o_edge, 0.0, *ws)
         assert (b0.fused.data == b0.s_edge.data).all()
 
     # model level: every decoder stage of a full frame pass

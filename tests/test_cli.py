@@ -208,12 +208,24 @@ def _header_without_tensors(_full):
     return nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(blob)) + blob
 
 
+def _header_with_entry(entry):
+    def damage(full):
+        blob = json.dumps({"version": nn.CHECKPOINT_VERSION, "tensors": [entry]}).encode()
+        return (nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(blob))
+                + blob + full[-12:])
+    return damage
+
+
 # a checkpoint starts with 4 magic bytes, then version and header length
 @pytest.mark.parametrize("damage", [
     lambda full: full[:4],
     lambda full: full[:12 + 5],
     _header_without_tensors,
-], ids=["cut_after_magic", "cut_inside_header", "header_without_tensors"])
+    _header_with_entry({"name": "w"}),
+    _header_with_entry({"shape": [3]}),
+    _header_with_entry(["w", [3]]),
+], ids=["cut_after_magic", "cut_inside_header", "header_without_tensors",
+        "entry_without_shape", "entry_without_name", "entry_not_object"])
 def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage):
     seq = short_sequence(tmp_path, cfg_path)
     good = tmp_path / "good.ckpt"
@@ -233,9 +245,24 @@ def _detections_not_list(doc):
     doc["frames"][0]["detections"] = {"box": None}
 
 
+def _null_index(doc):
+    doc["frames"][1]["index"] = None
+
+
+def _short_image_size(doc):
+    doc["frames"][0]["image_size"] = [1]
+
+
+def _null_duplicates(doc):
+    doc["frames"][1]["duplicates"] = None
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_box, "frame 1, detection 2: missing field 'box'"),
     (_detections_not_list, "frame 0: detections must be a list"),
+    (_null_index, "frame 1 in the frames list: index: expected an integer, got None"),
+    (_short_image_size, "frame 0: image_size must be [height, width]"),
+    (_null_duplicates, "frame 1: duplicates must be a list"),
 ])
 def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
     seq = short_sequence(tmp_path, cfg_path)
@@ -247,3 +274,32 @@ def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage,
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert message in err
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ('{"frame": 1, "duplicates": [], "new_tracks": [], "closed_tracks": []}',
+     "results line 2: missing field 'assignments'"),
+    ("[1, 2]", "results line 2: not a JSON object"),
+], ids=["no_assignments", "not_object"])
+def test_malformed_results_is_runtime_error(tmp_path, cfg_path, capsys, bad_line, message):
+    seq = short_sequence(tmp_path, cfg_path)
+    res = tmp_path / "res.jsonl"
+    assert run(["track", str(seq), "--config", cfg_path, "--out", str(res)]) == 0
+    first = res.read_text().splitlines()[0]
+    res.write_text(first + "\n" + bad_line + "\n")
+    capsys.readouterr()
+    assert run(["eval", str(res), str(seq)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert message in err
+
+
+def test_config_not_object_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text("5")
+    code = run(["synth", "--scenario", "crowd", "--frames", "2",
+                "--config", str(p), "--out", str(p) + ".out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "JSON object" in err
+    assert "Traceback" not in err

@@ -4,8 +4,9 @@ import pytest
 
 from dstrack import nn
 from dstrack.config import EngineConfig
-from dstrack.heuristics import build_heuristic_model, matching_edge_logit
+from dstrack.heuristics import build_heuristic_model
 from dstrack.tracker import TrackerState, step
+from dstrack.transformer import edge_logits
 
 CFG = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
                    ffn_hidden=32)
@@ -16,6 +17,20 @@ def model():
     return build_heuristic_model(CFG)
 
 
+def final_edge_logit(model, features, alpha):
+    """The geometry logit the matching layer reads for each raw feature row,
+    along the real path: edge head, then every decoder stage, for one track
+    against one detection per row.  Zero track and detection embeddings
+    make every appearance logit zero."""
+    f = np.asarray(features, dtype=np.float64)
+    s = model.store
+    o_edge = edge_logits(model.edge_head(f[None]), s["edge_head.w3"], s["edge_head.b3"],
+                         s["decoder.stage0.we"])
+    _, o_edge, _ = model.decoder_forward(np.zeros((1, CFG.d)), o_edge,
+                                         np.zeros((len(f), CFG.d)), alpha)
+    return o_edge.data[0]
+
+
 def test_edge_calibration_residual_small(model):
     assert model.edge_fit_residual < 0.02
 
@@ -24,7 +39,7 @@ def test_edge_logit_monotone_in_mean_feature(model):
     s = np.linspace(0.0, 1.0, 21)
     feats = np.column_stack([s, s, s, s])
     for alpha in (0.0, 0.3, 0.7):
-        logits = matching_edge_logit(model, feats, alpha)
+        logits = final_edge_logit(model, feats, alpha)
         assert np.all(np.diff(logits) > 0)
 
 
@@ -33,15 +48,15 @@ def test_edge_logit_monotone_per_feature(model):
     for j in range(4):
         lo, hi = base.copy(), base.copy()
         lo[j], hi[j] = 0.1, 0.9
-        l_lo = matching_edge_logit(model, lo[None], 0.3)[0]
-        l_hi = matching_edge_logit(model, hi[None], 0.3)[0]
+        l_lo = final_edge_logit(model, lo[None], 0.3)[0]
+        l_hi = final_edge_logit(model, hi[None], 0.3)[0]
         assert l_hi > l_lo
 
 
 def test_edge_logit_sign_convention(model):
     # zero similarity sits below the null logit, strong similarity far above
-    z = matching_edge_logit(model, np.zeros((1, 4)), 0.0)[0]
-    s = matching_edge_logit(model, np.full((1, 4), 0.9), 0.0)[0]
+    z = final_edge_logit(model, np.zeros((1, 4)), 0.0)[0]
+    s = final_edge_logit(model, np.full((1, 4), 0.9), 0.0)[0]
     assert z < 0.0 < s
     assert s > 3.0
 

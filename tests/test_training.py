@@ -329,18 +329,22 @@ def test_train_toy_rejects_too_short_sequences():
 
 
 def test_gradient_reaches_every_stage_edge_readout():
-    # after one training window, every decoder stage's pose-channel readout
+    # after one training window, every pose-channel readout and every edge
+    # output layer (which reach the loss only through the folded readouts)
     # has accumulated gradient
     cfg = small_cfg(d=8, ffn_hidden=12)
     seqs = two_identity_sequence(cfg)
     model = TrackingModel(cfg, seed=5)
+    names = ["match.we", "edge_head.w3"]
+    for n in range(cfg.n_decoder_stages):
+        names += [f"decoder.stage{n}.we", f"decoder.stage{n}.ffn_e.w2"]
     grads = {}
     orig_step = AdamW.step
 
     def spy_step(self):
-        for n in range(cfg.n_decoder_stages):
-            g = self.store[f"decoder.stage{n}.we"].grad
-            grads[n] = None if g is None else np.abs(g).max()
+        for name in names:
+            g = self.store[name].grad
+            grads[name] = None if g is None else np.abs(g).max()
         orig_step(self)
 
     AdamW.step = spy_step
@@ -348,5 +352,5 @@ def test_gradient_reaches_every_stage_edge_readout():
         train_toy(seqs, cfg, seed=5, n_iters=1, model=model)
     finally:
         AdamW.step = orig_step
-    for n in range(cfg.n_decoder_stages):
-        assert grads[n] is not None and grads[n] > 0.0
+    for name in names:
+        assert grads[name] is not None and grads[name] > 0.0, name

@@ -5,7 +5,7 @@ import pytest
 
 from dstrack import nn
 from dstrack.config import EngineConfig
-from dstrack.transformer import TrackingModel, dual_source_attention, fuse
+from dstrack.transformer import TrackingModel, dual_source_attention, edge_logits, fuse
 
 
 def tiny_cfg(**kw):
@@ -29,23 +29,23 @@ def rnd(shape, seed=0, scale=1.0):
 def test_alpha_endpoints_are_bitwise_exact():
     rng = np.random.default_rng(0)
     e_t, e_d = nn.Tensor(rng.standard_normal((3, 4))), nn.Tensor(rng.standard_normal((2, 4)))
-    e_edge = nn.Tensor(rng.standard_normal((3, 2, 4)))
+    o_edge = nn.Tensor(rng.standard_normal((3, 2)))
     wq, wk = nn.Tensor(rng.standard_normal((4, 4))), nn.Tensor(rng.standard_normal((4, 4)))
-    we, wa = nn.Tensor(rng.standard_normal((1, 4))), nn.Tensor(rng.standard_normal((4, 4)))
+    wa = nn.Tensor(rng.standard_normal((4, 4)))
 
-    _, b1 = dual_source_attention(e_t, e_d, e_edge, 1.0, wq, wk, we, wa)
+    _, b1 = dual_source_attention(e_t, e_d, o_edge, 1.0, wq, wk, wa)
     assert (b1.fused.data == b1.s_appear.data).all()
-    _, b0 = dual_source_attention(e_t, e_d, e_edge, 0.0, wq, wk, we, wa)
+    _, b0 = dual_source_attention(e_t, e_d, o_edge, 0.0, wq, wk, wa)
     assert (b0.fused.data == b0.s_edge.data).all()
 
 
 def test_gate_is_exact_blend():
     rng = np.random.default_rng(1)
     e_t, e_d = nn.Tensor(rng.standard_normal((3, 4))), nn.Tensor(rng.standard_normal((2, 4)))
-    e_edge = nn.Tensor(rng.standard_normal((3, 2, 4)))
-    ws = [nn.Tensor(rng.standard_normal(s)) for s in [(4, 4), (4, 4), (1, 4), (4, 4)]]
+    o_edge = nn.Tensor(rng.standard_normal((3, 2)))
+    ws = [nn.Tensor(rng.standard_normal(s)) for s in [(4, 4), (4, 4), (4, 4)]]
     alpha = 0.3
-    _, b = dual_source_attention(e_t, e_d, e_edge, alpha, *ws)
+    _, b = dual_source_attention(e_t, e_d, o_edge, alpha, *ws)
     expect = b.s_appear.data * alpha + b.s_edge.data * (1.0 - alpha)
     assert (b.fused.data == expect).all()  # same arithmetic path, bit-identical
     np.testing.assert_allclose(b.fused.data.sum(axis=1), np.ones(3), atol=1e-6)
@@ -57,9 +57,9 @@ def test_attention_no_detections():
     rng = np.random.default_rng(2)
     e_t = nn.Tensor(rng.standard_normal((3, 4)))
     e_d = nn.Tensor(np.zeros((0, 4)))
-    e_edge = nn.Tensor(np.zeros((3, 0, 4)))
-    ws = [nn.Tensor(rng.standard_normal(s)) for s in [(4, 4), (4, 4), (1, 4), (4, 4)]]
-    delta, b = dual_source_attention(e_t, e_d, e_edge, 0.3, *ws)
+    o_edge = nn.Tensor(np.zeros((3, 0)))
+    ws = [nn.Tensor(rng.standard_normal(s)) for s in [(4, 4), (4, 4), (4, 4)]]
+    delta, b = dual_source_attention(e_t, e_d, o_edge, 0.3, *ws)
     np.testing.assert_array_equal(b.fused.data, np.ones((3, 1)))
     np.testing.assert_array_equal(delta.data, np.zeros((3, 4)))
 
@@ -79,16 +79,19 @@ def test_attention_hand_chain_t1_d2():
     # linear(e_d, wk) = e_d @ wk.T; wk.T = [[0,1],[1,0]] so k = [[1,1],[2,0]]
     # o_a = q @ k.T / sqrt(2) = [1*1+0*1, 1*2+0*0]/1.414 = [0.7071, 1.4142]
     o_a = np.array([1.0, 2.0]) / np.sqrt(2.0)
-    # edge logits: [0.5*1+0.5*2, 2*1+(-1)*2] = [1.5, 0.0]
+    # edge logits, read out through we with an identity output layer:
+    # [0.5*1+0.5*2, 2*1+(-1)*2] = [1.5, 0.0]
     o_e = np.array([1.5, 0.0])
     s_a = np.exp(np.append(o_a, 0.0)); s_a /= s_a.sum()
     s_e = np.exp(np.append(o_e, 0.0)); s_e /= s_e.sum()
     fused = alpha * s_a + (1 - alpha) * s_e
     expect_delta = (fused[:2] @ e_d) @ wa.T
 
+    o_edge = edge_logits(nn.Tensor(e_edge), nn.Tensor(np.eye(2)), nn.Tensor(np.zeros(2)),
+                         nn.Tensor(we))
     delta, b = dual_source_attention(
-        nn.Tensor(e_t), nn.Tensor(e_d), nn.Tensor(e_edge), alpha,
-        nn.Tensor(wq), nn.Tensor(wk), nn.Tensor(we), nn.Tensor(wa))
+        nn.Tensor(e_t), nn.Tensor(e_d), o_edge, alpha,
+        nn.Tensor(wq), nn.Tensor(wk), nn.Tensor(wa))
     np.testing.assert_allclose(b.o_appear.data[0], o_a, rtol=1e-12)
     np.testing.assert_allclose(b.o_edge.data[0], o_e, rtol=1e-12)
     np.testing.assert_allclose(delta.data[0], expect_delta, rtol=1e-12)
@@ -98,10 +101,9 @@ def test_one_hot_attention_copies_detection():
     # concentrate all weight on detection 1 via huge logit margins; wa = I
     e_t = nn.Tensor(np.array([[30.0, 0.0]]))
     e_d = nn.Tensor(np.array([[0.0, 0.1], [1.0, 0.0]]))   # det 1 aligns with track
-    e_edge = nn.Tensor(np.zeros((1, 2, 2)))
+    o_edge = nn.Tensor(np.zeros((1, 2)))
     eye = nn.Tensor(np.eye(2))
-    delta, b = dual_source_attention(e_t, e_d, e_edge, 1.0, eye, eye,
-                                     nn.Tensor(np.zeros((1, 2))), eye)
+    delta, b = dual_source_attention(e_t, e_d, o_edge, 1.0, eye, eye, eye)
     assert b.fused.data[0, 1] > 0.999999
     np.testing.assert_allclose(delta.data[0], e_d.data[1], atol=1e-5)
 
@@ -110,13 +112,25 @@ def test_edge_logit_sensitive_to_raw_features():
     # strict monotonicity under constructed weights is covered in
     # test_heuristics; here we only require the readout reacts at all
     m = model()
+    s = m.store
     we = np.abs(np.random.default_rng(3).standard_normal((1, 8))) + 0.05
 
     def logit(feat):
-        emb = m.edge_head(np.asarray(feat).reshape(1, 1, 4))
-        return float(emb.data.reshape(-1) @ we[0])
+        hidden = m.edge_head(np.asarray(feat).reshape(1, 1, 4))
+        return float(edge_logits(hidden, s["edge_head.w3"], s["edge_head.b3"], we).data[0, 0])
 
     assert logit([0.2, 0.2, 0.2, 0.2]) != logit([0.2, 0.9, 0.2, 0.2])
+
+
+@pytest.mark.parametrize("t_count,d_count", [(3, 4), (0, 4), (3, 0), (0, 0)])
+def test_edge_logits_equal_unfolded_readout(t_count, d_count):
+    rng = np.random.default_rng(60 + t_count + d_count)
+    h = rng.standard_normal((t_count, d_count, 5))
+    w, b, we = rng.standard_normal((7, 5)), rng.standard_normal(7), rng.standard_normal((1, 7))
+    out = edge_logits(h, w, b, we).data
+    assert out.shape == (t_count, d_count)
+    expect = ((h @ w.T + b) @ we.T)[..., 0]
+    np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +192,9 @@ def test_decoder_layer_zero_weights_degenerate_residual():
         for w in ("ffn.w1", "ffn.w2"):
             s[f"decoder.stage{n}.{w}"].data[:] = 0.0
     e_t = rnd((2, 8), seed=8)
-    e_edge = rnd((2, 3, 8), seed=9)
+    o_edge = rnd((2, 3), seed=9)
     e_d = rnd((3, 8), seed=10)
-    out, _, _ = m.decoder_forward(e_t, e_edge, e_d, 0.3)
+    out, _, _ = m.decoder_forward(e_t, o_edge, e_d, 0.3)
 
     def ln(v):
         mu = v.mean(axis=-1, keepdims=True)
@@ -195,23 +209,23 @@ def test_decoder_layer_zero_weights_degenerate_residual():
 
 
 def test_edge_refresh_shared_ffn_e():
-    # identical fused logits at two pairs give identical refreshed embeddings
+    # identical fused logits at two pairs give identical refreshed edge logits
     m = model(seed=11)
     e_t = np.zeros((2, 8))
-    e_edge = np.zeros((2, 2, 8))
+    o_edge = np.zeros((2, 2))
     e_d = np.zeros((2, 8))
-    _, edge_out, _ = m.decoder_forward(e_t, e_edge, e_d, 0.3)
-    flat = edge_out.data.reshape(4, 8)
-    for row in flat[1:]:
-        np.testing.assert_allclose(row, flat[0], atol=1e-12)
+    _, edge_out, _ = m.decoder_forward(e_t, o_edge, e_d, 0.3)
+    assert edge_out.data.shape == (2, 2)
+    flat = edge_out.data.reshape(4)
+    np.testing.assert_allclose(flat[1:], np.full(3, flat[0]), atol=1e-12)
 
 
 def test_edge_update_mode_weights_changes_input():
     m_feat = model(seed=12)
     m_wts = TrackingModel(tiny_cfg(edge_update_mode="weights"), seed=12)
-    e_t, e_edge, e_d = rnd((2, 8), 13), rnd((2, 3, 8), 14), rnd((3, 8), 15)
-    _, ef, _ = m_feat.decoder_forward(e_t, e_edge, e_d, 0.3)
-    _, ew, _ = m_wts.decoder_forward(e_t, e_edge, e_d, 0.3)
+    e_t, o_edge, e_d = rnd((2, 8), 13), rnd((2, 3), 14), rnd((3, 8), 15)
+    _, ef, _ = m_feat.decoder_forward(e_t, o_edge, e_d, 0.3)
+    _, ew, _ = m_wts.decoder_forward(e_t, o_edge, e_d, 0.3)
     assert np.abs(ef.data - ew.data).max() > 1e-8
 
 
@@ -281,18 +295,18 @@ def test_confidence_update_convexity():
 
 def test_matching_no_tracks():
     m = model()
-    out = m.matching_layer(np.zeros((0, 8)), rnd((3, 8), 27), np.zeros((0, 3, 8)), 0.3)
+    out = m.matching_layer(np.zeros((0, 8)), rnd((3, 8), 27), np.zeros((0, 3)), 0.3)
     np.testing.assert_array_equal(out.data, np.ones((3, 1)))
 
 
 def test_matching_rows_stochastic_and_alpha_one():
     m = model(seed=28)
-    e_t, e_d, e_edge = rnd((2, 8), 29), rnd((3, 8), 30), rnd((2, 3, 8), 31)
-    out = m.matching_layer(e_t, e_d, e_edge, 0.3)
+    e_t, e_d, o_edge = rnd((2, 8), 29), rnd((3, 8), 30), rnd((2, 3), 31)
+    out = m.matching_layer(e_t, e_d, o_edge, 0.3)
     assert out.data.shape == (3, 3)
     np.testing.assert_allclose(out.data.sum(axis=1), np.ones(3), atol=1e-6)
 
-    out1 = m.matching_layer(e_t, e_d, e_edge, 1.0)
+    out1 = m.matching_layer(e_t, e_d, o_edge, 1.0)
     s = m.store
     q = e_d @ s["match.wq"].data.T
     k = e_t @ s["match.wk"].data.T
@@ -305,12 +319,12 @@ def test_matching_rows_stochastic_and_alpha_one():
 
 def test_matching_hand_evaluation_d2_t1():
     m = model(seed=32)
-    e_t, e_d, e_edge = rnd((1, 8), 33), rnd((2, 8), 34), rnd((1, 2, 8), 35)
+    e_t, e_d, o_edge = rnd((1, 8), 33), rnd((2, 8), 34), rnd((1, 2), 35)
     alpha = 0.4
-    out = m.matching_layer(e_t, e_d, e_edge, alpha).data
+    out = m.matching_layer(e_t, e_d, o_edge, alpha).data
     s = m.store
     o_a = (e_d @ s["match.wq"].data.T) @ (e_t @ s["match.wk"].data.T).T / np.sqrt(8.0)
-    o_e = (e_edge @ s["match.we"].data[0])[..., None].reshape(1, 2).T
+    o_e = o_edge.T
 
     def smn(x):
         aug = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
@@ -323,12 +337,12 @@ def test_matching_hand_evaluation_d2_t1():
 def test_matching_uses_separate_parameters_from_decoder():
     m = model(seed=36)
     # zeroing decoder projections must not change the matching output
-    e_t, e_d, e_edge = rnd((2, 8), 37), rnd((2, 8), 38), rnd((2, 2, 8), 39)
-    before = m.matching_layer(e_t, e_d, e_edge, 0.3).data.copy()
+    e_t, e_d, o_edge = rnd((2, 8), 37), rnd((2, 8), 38), rnd((2, 2), 39)
+    before = m.matching_layer(e_t, e_d, o_edge, 0.3).data.copy()
     for n in (0, 1):
         for w in ("wq", "wk", "we", "wa"):
             m.store[f"decoder.stage{n}.{w}"].data[:] = 0.0
-    after = m.matching_layer(e_t, e_d, e_edge, 0.3).data
+    after = m.matching_layer(e_t, e_d, o_edge, 0.3).data
     np.testing.assert_array_equal(before, after)
 
 
@@ -364,15 +378,14 @@ def test_gradcheck_dual_source_attention():
     inputs = [
         nn.Tensor(rng.standard_normal((2, 4)), requires_grad=True),   # e_t
         nn.Tensor(rng.standard_normal((2, 4)), requires_grad=True),   # e_d
-        nn.Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True),  # e_edge
+        nn.Tensor(rng.standard_normal((2, 2)), requires_grad=True),   # o_edge
         nn.Tensor(rng.standard_normal((4, 4)), requires_grad=True),
         nn.Tensor(rng.standard_normal((4, 4)), requires_grad=True),
-        nn.Tensor(rng.standard_normal((1, 3)), requires_grad=True),
         nn.Tensor(rng.standard_normal((4, 4)), requires_grad=True),
     ]
 
-    def run(e_t, e_d, e_edge, wq, wk, we, wa):
-        delta, bundle = dual_source_attention(e_t, e_d, e_edge, 0.3, wq, wk, we, wa)
+    def run(e_t, e_d, o_edge, wq, wk, wa):
+        delta, bundle = dual_source_attention(e_t, e_d, o_edge, 0.3, wq, wk, wa)
         return nn.concat([delta, bundle.fused], axis=1)
 
     res = nn.grad_check(run, inputs, rng=np.random.default_rng(45))
@@ -384,14 +397,14 @@ def test_gradcheck_full_decoder_layer():
     m = TrackingModel(cfg, seed=46)
     rng = np.random.default_rng(47)
     e_t = nn.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-    e_edge = nn.Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
+    o_edge = nn.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     e_d = nn.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
 
     def run(a, b, c):
         out, edge, _ = m.decoder_layer(a, b, c, 0.3, stage=0)
-        return nn.concat([out, nn.reshape(edge, (2, -1))], axis=1)
+        return nn.concat([out, edge], axis=1)
 
-    res = nn.grad_check(run, [e_t, e_edge, e_d], rng=np.random.default_rng(48))
+    res = nn.grad_check(run, [e_t, o_edge, e_d], rng=np.random.default_rng(48))
     assert res.max_rel_error <= 1e-4, res
 
 
