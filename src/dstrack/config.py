@@ -39,7 +39,7 @@ class EngineConfig:
     """All tunables of the association engine in one place."""
 
     d: int = 256                      # embedding width
-    d_e: int = -1                     # edge embedding width; -1 means "same as d"
+    d_e: int = -1                     # edge head hidden width; -1 means "same as d"
     keypoint_count: int = 15
     n_encoder_stages: int = 2
     n_decoder_stages: int = 2
@@ -72,7 +72,7 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
     if cfg.d <= 0:
         raise ValueError("embedding dim must be positive")
     if cfg.d_e <= 0:
-        raise ValueError("edge embedding dim must be positive")
+        raise ValueError("edge head width d_e must be positive")
     if cfg.keypoint_count <= 0:
         raise ValueError("keypoint count must be positive")
     if cfg.n_encoder_stages <= 0:

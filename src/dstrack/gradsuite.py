@@ -202,8 +202,8 @@ def _check_decoder_layer(rng):
     e_t, e_d, o_edge = _t(rng, 2, 6), _t(rng, 3, 6), _t(rng, 2, 3)
     s = model.store
     extra = [s["decoder.stage0.ffn_e.w1"], s["decoder.stage0.ffn_e.w2"],
-             s["decoder.stage0.ffn.w1"], s["decoder.stage0.ln1.g"],
-             s["decoder.stage1.we"]]
+             s["decoder.stage0.ffn_e.b2"], s["decoder.stage0.ffn.w1"],
+             s["decoder.stage0.ln1.g"]]
 
     def run(et, oe, ed, *_params):
         out_t, out_e, _ = model.decoder_layer(et, oe, ed, 0.3, stage=0)

@@ -27,7 +27,7 @@ from .transformer import TrackingModel
 
 EDGE_GAIN = 6.0          # slope of the edge logit in mean-feature units
 EDGE_FLOOR = 0.05        # mean feature level at which the edge logit crosses 0
-MATCH_EDGE_SCALE = 2.0   # final readout gain, offsets decoder-stage damping
+MATCH_EDGE_SCALE = 2.0   # last edge refresh gain, offsets decoder-stage damping
 APPEARANCE_SCALE = 3.0   # temperature of the appearance matching logits
 GATE_BIAS = -20.0        # sigmoid(-20) ~ 2e-9: embeddings never drift
 
@@ -92,19 +92,15 @@ def _passthrough_stage(store, prefix):
         _zero(store, f"{prefix}.{name}")
 
 
-def _linear_ffn_e(store, prefix, hidden, d_e):
-    """Scalar-in, d_e-out refresh that writes its input into channel 0:
-    FFN_E(t) = [t, 0, ..., 0] up to GELU curvature of order 1e-3."""
+def _linear_ffn_e(store, prefix, hidden, scale):
+    """Scalar-in, scalar-out refresh FFN_E(t) = scale * t, up to GELU
+    curvature of order 1e-3."""
     slope = _gelu_slope(_LN_SHIFT)
     g0 = _gelu_val(_LN_SHIFT)
     _set(store, f"{prefix}.w1", np.full((hidden, 1), _FFN_E_EPS))
     _set(store, f"{prefix}.b1", np.full(hidden, _LN_SHIFT))
-    w2 = np.zeros((d_e, hidden))
-    w2[0, :] = 1.0 / (hidden * slope * _FFN_E_EPS)
-    _set(store, f"{prefix}.w2", w2)
-    b2 = np.zeros(d_e)
-    b2[0] = -g0 / (slope * _FFN_E_EPS)
-    _set(store, f"{prefix}.b2", b2)
+    _set(store, f"{prefix}.w2", scale * (1.0 / (hidden * slope * _FFN_E_EPS)))
+    _set(store, f"{prefix}.b2", scale * (-g0 / (slope * _FFN_E_EPS)))
 
 
 def _probe_features(rng, n):
@@ -115,7 +111,7 @@ def _probe_features(rng, n):
 
 def _calibrate_edge_head(model: TrackingModel, rng, gain, floor):
     """Linearize both LN+GELU blocks, then least-squares fit the output
-    layer so channel 0 carries gain * (mean(f) - floor)."""
+    row so the edge logit is gain * (mean(f) - floor)."""
     s = model.store
     d_e = model.cfg.d_e
     for block in ("1", "2"):
@@ -129,12 +125,8 @@ def _calibrate_edge_head(model: TrackingModel, rng, gain, floor):
     design = np.concatenate([hidden, np.ones((len(probes), 1))], axis=1)
     beta, *_ = np.linalg.lstsq(design, target, rcond=None)
 
-    w3 = np.zeros((d_e, d_e))
-    w3[0, :] = beta[:-1]
-    _set(s, "edge_head.w3", w3)
-    b3 = np.zeros(d_e)
-    b3[0] = beta[-1]
-    _set(s, "edge_head.b3", b3)
+    _set(s, "edge_head.w3", beta[:-1])
+    _set(s, "edge_head.b3", beta[-1])
     return float(np.max(np.abs(design @ beta - target)))
 
 
@@ -155,19 +147,14 @@ def build_heuristic_model(cfg: EngineConfig, seed: int = 0,
     for n in range(cfg.n_decoder_stages):
         p = f"decoder.stage{n}"
         _passthrough_stage(s, p)
-        we = np.zeros((1, cfg.d_e))
-        we[0, 0] = 1.0
-        _set(s, f"{p}.we", we)
-        _linear_ffn_e(s, f"{p}.ffn_e", cfg.ffn_hidden, cfg.d_e)
+        last = n + 1 == cfg.n_decoder_stages
+        _linear_ffn_e(s, f"{p}.ffn_e", cfg.ffn_hidden, MATCH_EDGE_SCALE if last else 1.0)
 
     _identity_head(s, "track_head", cfg.d)
     _identity_head(s, "new_track_head", cfg.d)
 
     _set(s, "match.wq", APPEARANCE_SCALE * np.eye(cfg.d))
     _set(s, "match.wk", np.eye(cfg.d))
-    match_we = np.zeros((1, cfg.d_e))
-    match_we[0, 0] = MATCH_EDGE_SCALE
-    _set(s, "match.we", match_we)
 
     _zero(s, "conf.w")
     _set(s, "conf.b", np.array([GATE_BIAS]))

@@ -41,12 +41,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -623,6 +617,9 @@ class ParamStore:
         missing = set(self._tensors) - set(state)
         if missing:
             raise ValueError(f"checkpoint is missing parameters: {sorted(missing)[:5]}")
+        unexpected = set(state) - set(self._tensors)
+        if unexpected:
+            raise ValueError(f"checkpoint has unexpected parameters: {sorted(unexpected)[:5]}")
         for name, t in self._tensors.items():
             arr = np.asarray(state[name], dtype=np.float64)
             if arr.shape != t.data.shape:
@@ -699,9 +696,6 @@ class GradCheckResult:
     max_rel_error: float
     skipped: bool = False
     reason: str = ""
-
-    def ok(self, tol=1e-4) -> bool:
-        return self.skipped or self.max_rel_error <= tol
 
 
 def grad_check(fn, inputs, h=1e-5, rng=None, skip_if=None) -> GradCheckResult:

@@ -136,13 +136,10 @@ def _detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn
     return appearance_embed_batch(np.stack(crops), np.stack(heats), model.store, cfg)
 
 
-def _age_and_close(tracks: Sequence[Track], matched_ids: set, tau_age: int):
-    """Apply per-frame aging; returns (surviving tracks, closed ids)."""
+def _age_and_close(tracks: Sequence[Track], tau_age: int):
+    """Age unmatched tracks by one frame; returns (surviving tracks, closed ids)."""
     survivors, closed = [], []
     for t in tracks:
-        if t.id in matched_ids:
-            survivors.append(t)
-            continue
         aged = dataclasses.replace(t, frames_since_match=t.frames_since_match + 1,
                                    active=False)
         if aged.frames_since_match > tau_age:
@@ -166,7 +163,7 @@ def step(state: TrackerState, detections: Sequence[Detection],
     frame_index = state.frame_index + 1
 
     if len(detections) == 0:
-        survivors, closed = _age_and_close(tracks, set(), cfg.tau_age)
+        survivors, closed = _age_and_close(tracks, cfg.tau_age)
         result = FrameResult(closed_tracks=closed)
         return result, TrackerState(survivors, state.next_id, frame_index), None
 
@@ -182,13 +179,8 @@ def step(state: TrackerState, detections: Sequence[Detection],
     updated = fwd.updated_tracks.data
 
     new_tracks: List[Track] = []
-    track_by_pos = {}
-    for pos, t in enumerate(tracks):
-        track_by_pos[pos] = t
-
-    matched_ids = set()
     for det_idx, track_pos in matched:
-        old = track_by_pos[track_pos]
+        old = tracks[track_pos]
         det = detections[det_idx]
         new_tracks.append(dataclasses.replace(
             old,
@@ -198,13 +190,13 @@ def step(state: TrackerState, detections: Sequence[Detection],
             frames_since_match=0,
             active=True,
         ))
-        matched_ids.add(old.id)
         result.assignments.append((det_idx, old.id))
 
     # unmatched existing tracks keep their confidence-blended embedding
+    matched_pos = {track_pos for _, track_pos in matched}
     unmatched_existing = [
-        dataclasses.replace(track_by_pos[pos], embedding=updated[pos])
-        for pos in range(len(tracks)) if track_by_pos[pos].id not in matched_ids
+        dataclasses.replace(t, embedding=updated[pos])
+        for pos, t in enumerate(tracks) if pos not in matched_pos
     ]
 
     if new_idx:
@@ -218,7 +210,7 @@ def step(state: TrackerState, detections: Sequence[Detection],
             result.new_tracks.append((det_idx, next_id))
             next_id += 1
 
-    survivors, closed = _age_and_close(unmatched_existing, set(), cfg.tau_age)
+    survivors, closed = _age_and_close(unmatched_existing, cfg.tau_age)
     result.closed_tracks = closed
     all_tracks = sorted(new_tracks + survivors, key=lambda t: t.id)
     return result, TrackerState(all_tracks, next_id, frame_index), fwd

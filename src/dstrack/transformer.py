@@ -8,11 +8,11 @@ the alpha gate blends the two row-stochastic matrices:
 
     A = alpha * S_appearance + (1 - alpha) * S_geometry
 
-Each per-pair edge embedding is read only through the next layer's 1 x d_e
-readout `we`, so that readout is folded into the layer producing the edge
-(`edge_logits`): only T x D logit matrices pass between layers.
+Every edge output layer (the edge head's `w3`, each decoder stage's
+`ffn_e.w2`) is a single row, so only T x D geometry-logit matrices pass
+between layers.
 
-All projection matrices (query, key, edge readout, aggregation) are
+All attention projection matrices (query, key, aggregation) are
 bias-free; feed-forward blocks and heads carry biases.
 """
 from __future__ import annotations
@@ -44,7 +44,6 @@ class FrameForward:
     enc_out: nn.Tensor                 # D x d encoded detections
     enc_attn: List[nn.Tensor]          # per encoder stage, D x (D+1)
     bundles: List[AttentionBundle]     # per decoder stage
-    decoder_out: nn.Tensor             # T x d, pre-head
     head_out: nn.Tensor                # T x d, track embedding head output
     updated_tracks: nn.Tensor          # T x d, confidence-blended embeddings
     update_gate: np.ndarray            # T blend weights
@@ -55,14 +54,6 @@ def fuse(alpha: float, a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
     """The alpha gate; written once so every code path shares the exact
     floating-point evaluation order."""
     return nn.add(nn.mul(a, alpha), nn.mul(b, 1.0 - alpha))
-
-
-def edge_logits(h, w, b, we) -> nn.Tensor:
-    """we . (h w^T + b), of shape h.shape[:-1], for h: ... x k, w: d_e x k,
-    b: d_e, we: 1 x d_e; computed as h . (we w)^T + we . b."""
-    h = nn.as_tensor(h)
-    out = nn.linear(h, nn.matmul(we, w), nn.linear(b, we))
-    return nn.reshape(out, h.data.shape[:-1])
 
 
 def dual_source_attention(e_t, e_d, o_edge, alpha, wq, wk, wa):
@@ -120,30 +111,29 @@ class TrackingModel:
             ln_params(f"{p}.ln1", d)
             ln_params(f"{p}.ln2", d)
 
-        # edge embedding head: 4 geometry features -> d_e, two LN+GELU blocks
+        # edge head: 4 geometry features -> d_e, two LN+GELU blocks, one output row
         s.create("edge_head.w1", (d_e, 4), rng)
         s.create("edge_head.b1", (d_e,), rng, init="zeros")
         ln_params("edge_head.ln1", d_e)
         s.create("edge_head.w2", (d_e, d_e), rng)
         s.create("edge_head.b2", (d_e,), rng, init="zeros")
         ln_params("edge_head.ln2", d_e)
-        s.create("edge_head.w3", (d_e, d_e), rng)
-        s.create("edge_head.b3", (d_e,), rng, init="zeros")
+        s.create("edge_head.w3", (1, d_e), rng)
+        s.create("edge_head.b3", (1,), rng, init="zeros")
 
         for n in range(cfg.n_decoder_stages):
             p = f"decoder.stage{n}"
             s.create(f"{p}.wq", (d, d), rng)
             s.create(f"{p}.wk", (d, d), rng)
-            s.create(f"{p}.we", (1, d_e), rng)
             s.create(f"{p}.wa", (d, d), rng)
             ffn_params(f"{p}.ffn", d)
             ln_params(f"{p}.ln1", d)
             ln_params(f"{p}.ln2", d)
-            # per-pair edge refresh: scalar fused logit -> d_e
+            # per-pair edge refresh: scalar fused logit -> scalar logit
             s.create(f"{p}.ffn_e.w1", (hidden, 1), rng)
             s.create(f"{p}.ffn_e.b1", (hidden,), rng, init="zeros")
-            s.create(f"{p}.ffn_e.w2", (d_e, hidden), rng)
-            s.create(f"{p}.ffn_e.b2", (d_e,), rng, init="zeros")
+            s.create(f"{p}.ffn_e.w2", (1, hidden), rng)
+            s.create(f"{p}.ffn_e.b2", (1,), rng, init="zeros")
 
         for head in ("track_head", "new_track_head"):
             s.create(f"{head}.w1", (d, d), rng)
@@ -155,7 +145,6 @@ class TrackingModel:
         # matching layer: own projections, no output linear after the gate
         s.create("match.wq", (d, d), rng)
         s.create("match.wk", (d, d), rng)
-        s.create("match.we", (1, d_e), rng)
 
         # confidence gate over per-stage attention maxima
         s.create("conf.w", (cfg.n_decoder_stages,), rng)
@@ -179,7 +168,7 @@ class TrackingModel:
 
     def edge_head(self, raw) -> nn.Tensor:
         """Per-pair geometry MLP, 4 -> d_e, shared across all pairs, up to its
-        output layer edge_head.w3/b3 (applied by `edge_logits`)."""
+        output row edge_head.w3/b3 (applied by `forward_frame`)."""
         s = self.store
         x = nn.as_tensor(raw)
         x = nn.gelu(self._ln(nn.linear(x, s["edge_head.w1"], s["edge_head.b1"]), "edge_head.ln1"))
@@ -211,7 +200,7 @@ class TrackingModel:
 
     def decoder_layer(self, e_t, o_edge, e_d, alpha: float, stage: int):
         """One decoder stage: returns (new e_t, new o_edge, bundle); the new
-        T x D logits are the edge refresh read out by the next stage."""
+        T x D logits are the edge refresh read by the next stage."""
         s = self.store
         p = f"decoder.stage{stage}"
         delta, bundle = dual_source_attention(
@@ -226,10 +215,8 @@ class TrackingModel:
             gate_in = fuse(alpha, bundle.o_appear, bundle.o_edge)
         scalar = nn.reshape(gate_in, (t_count, d_count, 1))
         h = nn.gelu(nn.linear(scalar, s[f"{p}.ffn_e.w1"], s[f"{p}.ffn_e.b1"]))
-        last = stage + 1 == self.cfg.n_decoder_stages
-        reader = s["match.we"] if last else s[f"decoder.stage{stage + 1}.we"]
-        new_edge = edge_logits(h, s[f"{p}.ffn_e.w2"], s[f"{p}.ffn_e.b2"], reader)
-        return x, new_edge, bundle
+        new_edge = nn.linear(h, s[f"{p}.ffn_e.w2"], s[f"{p}.ffn_e.b2"])
+        return x, nn.reshape(new_edge, (t_count, d_count)), bundle
 
     def decoder_forward(self, e_t, o_edge, e_d, alpha: float):
         bundles = []
@@ -275,8 +262,8 @@ class TrackingModel:
 
     def matching_layer(self, e_t, e_d, o_edge, alpha: float) -> nn.Tensor:
         """Detection-major assignment probabilities, D x (T+1); the last
-        column is the no-track probability.  o_edge: T x D geometry logits
-        (read out through match.we).  No linear layer after the gate."""
+        column is the no-track probability.  o_edge: T x D geometry logits.
+        No linear layer after the gate."""
         s = self.store
         d = self.cfg.d
         q = nn.linear(e_d, s["match.wq"])
@@ -297,13 +284,14 @@ class TrackingModel:
         e_t_old = nn.as_tensor(e_t_old)
         enc_out, enc_attn = self.encoder_forward(e_d0)
         s = self.store
-        o_edge = edge_logits(self.edge_head(raw_edge), s["edge_head.w3"], s["edge_head.b3"],
-                             s["decoder.stage0.we"])
+        raw_edge = nn.as_tensor(raw_edge)
+        o_edge = nn.linear(self.edge_head(raw_edge), s["edge_head.w3"], s["edge_head.b3"])
+        o_edge = nn.reshape(o_edge, raw_edge.data.shape[:-1])
         dec_out, o_edge, bundles = self.decoder_forward(e_t_old, o_edge, enc_out, alpha)
         head_out = self.track_head(dec_out)
         updated, gate = self.confidence_update(bundles, e_t_old, head_out)
         match = self.matching_layer(updated, enc_out, o_edge, alpha)
         return FrameForward(
-            enc_out=enc_out, enc_attn=enc_attn, bundles=bundles, decoder_out=dec_out,
-            head_out=head_out, updated_tracks=updated, update_gate=gate, match=match,
+            enc_out=enc_out, enc_attn=enc_attn, bundles=bundles, head_out=head_out,
+            updated_tracks=updated, update_gate=gate, match=match,
         )

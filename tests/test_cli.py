@@ -11,7 +11,9 @@ import pytest
 import dstrack
 from dstrack import nn
 from dstrack.cli import main
+from dstrack.config import EngineConfig
 from dstrack.sequence_io import load_sequence
+from dstrack.transformer import TrackingModel
 
 SMALL_CFG = {
     "d": 16,
@@ -235,6 +237,22 @@ def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage)
     capsys.readouterr()
     assert run(["track", str(seq), "--config", cfg_path, "--weights", str(bad)]) == 1
     assert_one_error_line(capsys.readouterr().err)
+
+
+def test_checkpoint_with_unexpected_tensor_is_runtime_error(tmp_path, cfg_path, capsys):
+    # every model tensor present plus one the model does not have, as in a
+    # checkpoint written by a model with parameters since removed
+    seq = short_sequence(tmp_path, cfg_path)
+    cfg = EngineConfig(**dict(SMALL_CFG, oks_kappas=tuple(SMALL_CFG["oks_kappas"])))
+    state = TrackingModel(cfg).store.state_dict()
+    state["stray.w"] = np.zeros(3)
+    ckpt = tmp_path / "extra.ckpt"
+    nn.save_checkpoint(str(ckpt), state)
+    capsys.readouterr()
+    assert run(["track", str(seq), "--config", cfg_path, "--weights", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "stray.w" in err
 
 
 def _drop_box(doc):

@@ -6,7 +6,6 @@ from dstrack import nn
 from dstrack.config import EngineConfig
 from dstrack.heuristics import build_heuristic_model
 from dstrack.tracker import TrackerState, step
-from dstrack.transformer import edge_logits
 
 CFG = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
                    ffn_hidden=32)
@@ -24,8 +23,8 @@ def final_edge_logit(model, features, alpha):
     make every appearance logit zero."""
     f = np.asarray(features, dtype=np.float64)
     s = model.store
-    o_edge = edge_logits(model.edge_head(f[None]), s["edge_head.w3"], s["edge_head.b3"],
-                         s["decoder.stage0.we"])
+    o_edge = nn.linear(model.edge_head(f[None]), s["edge_head.w3"], s["edge_head.b3"])
+    o_edge = nn.reshape(o_edge, (1, len(f)))
     _, o_edge, _ = model.decoder_forward(np.zeros((1, CFG.d)), o_edge,
                                          np.zeros((len(f), CFG.d)), alpha)
     return o_edge.data[0]

@@ -3,6 +3,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
@@ -159,6 +162,29 @@ def test_partition_property_random():
         assert seen == list(range(n_det))
         tracks_used = [j for _, j in matched]
         assert len(tracks_used) == len(set(tracks_used))
+
+
+@st.composite
+def row_stochastic(draw):
+    """A D x (T+1) row-stochastic matrix with strictly positive entries."""
+    n_det = draw(st.integers(0, 6))
+    n_track = draw(st.integers(0, 5))
+    raw = draw(arrays(np.float64, (n_det, n_track + 1), elements=st.floats(1e-6, 1.0)))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(row_stochastic(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_tau_dup_moves_only_unmatched_detections(m, tau_a, tau_b):
+    # the matching ignores tau_dup; raising it can only turn duplicates
+    # into new tracks, never the other way round
+    lo, hi = sorted((tau_a, tau_b))
+    matched_lo, dup_lo, new_lo = assign_and_filter(m, tau_dup=lo)
+    matched_hi, dup_hi, new_hi = assign_and_filter(m, tau_dup=hi)
+    assert matched_lo == matched_hi
+    assert set(dup_hi) <= set(dup_lo)
+    assert set(new_lo) <= set(new_hi)
+    assert sorted([i for i, _ in matched_hi] + dup_hi + new_hi) == list(range(len(m)))
 
 
 # ---------------------------------------------------------------------------

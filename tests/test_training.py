@@ -329,15 +329,14 @@ def test_train_toy_rejects_too_short_sequences():
 
 
 def test_gradient_reaches_every_stage_edge_readout():
-    # after one training window, every pose-channel readout and every edge
-    # output layer (which reach the loss only through the folded readouts)
-    # has accumulated gradient
+    # after one training window, every edge output row (the edge head's and
+    # each decoder stage's edge refresh) has accumulated gradient
     cfg = small_cfg(d=8, ffn_hidden=12)
     seqs = two_identity_sequence(cfg)
     model = TrackingModel(cfg, seed=5)
-    names = ["match.we", "edge_head.w3"]
+    names = ["edge_head.w3", "edge_head.b3"]
     for n in range(cfg.n_decoder_stages):
-        names += [f"decoder.stage{n}.we", f"decoder.stage{n}.ffn_e.w2"]
+        names += [f"decoder.stage{n}.ffn_e.w2", f"decoder.stage{n}.ffn_e.b2"]
     grads = {}
     orig_step = AdamW.step
 

@@ -5,7 +5,7 @@ import pytest
 
 from dstrack import nn
 from dstrack.config import EngineConfig
-from dstrack.transformer import TrackingModel, dual_source_attention, edge_logits, fuse
+from dstrack.transformer import TrackingModel, dual_source_attention, fuse
 
 
 def tiny_cfg(**kw):
@@ -79,7 +79,7 @@ def test_attention_hand_chain_t1_d2():
     # linear(e_d, wk) = e_d @ wk.T; wk.T = [[0,1],[1,0]] so k = [[1,1],[2,0]]
     # o_a = q @ k.T / sqrt(2) = [1*1+0*1, 1*2+0*0]/1.414 = [0.7071, 1.4142]
     o_a = np.array([1.0, 2.0]) / np.sqrt(2.0)
-    # edge logits, read out through we with an identity output layer:
+    # edge logits, the edge embeddings read out through we:
     # [0.5*1+0.5*2, 2*1+(-1)*2] = [1.5, 0.0]
     o_e = np.array([1.5, 0.0])
     s_a = np.exp(np.append(o_a, 0.0)); s_a /= s_a.sum()
@@ -87,8 +87,7 @@ def test_attention_hand_chain_t1_d2():
     fused = alpha * s_a + (1 - alpha) * s_e
     expect_delta = (fused[:2] @ e_d) @ wa.T
 
-    o_edge = edge_logits(nn.Tensor(e_edge), nn.Tensor(np.eye(2)), nn.Tensor(np.zeros(2)),
-                         nn.Tensor(we))
+    o_edge = nn.Tensor(e_edge @ we[0])
     delta, b = dual_source_attention(
         nn.Tensor(e_t), nn.Tensor(e_d), o_edge, alpha,
         nn.Tensor(wq), nn.Tensor(wk), nn.Tensor(wa))
@@ -110,27 +109,34 @@ def test_one_hot_attention_copies_detection():
 
 def test_edge_logit_sensitive_to_raw_features():
     # strict monotonicity under constructed weights is covered in
-    # test_heuristics; here we only require the readout reacts at all
+    # test_heuristics; here we only require the edge logit reacts at all
     m = model()
     s = m.store
-    we = np.abs(np.random.default_rng(3).standard_normal((1, 8))) + 0.05
 
     def logit(feat):
         hidden = m.edge_head(np.asarray(feat).reshape(1, 1, 4))
-        return float(edge_logits(hidden, s["edge_head.w3"], s["edge_head.b3"], we).data[0, 0])
+        return float(nn.linear(hidden, s["edge_head.w3"], s["edge_head.b3"]).data[0, 0, 0])
 
     assert logit([0.2, 0.2, 0.2, 0.2]) != logit([0.2, 0.9, 0.2, 0.2])
 
 
-@pytest.mark.parametrize("t_count,d_count", [(3, 4), (0, 4), (3, 0), (0, 0)])
-def test_edge_logits_equal_unfolded_readout(t_count, d_count):
-    rng = np.random.default_rng(60 + t_count + d_count)
-    h = rng.standard_normal((t_count, d_count, 5))
-    w, b, we = rng.standard_normal((7, 5)), rng.standard_normal(7), rng.standard_normal((1, 7))
-    out = edge_logits(h, w, b, we).data
-    assert out.shape == (t_count, d_count)
-    expect = ((h @ w.T + b) @ we.T)[..., 0]
-    np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+def test_every_edge_output_layer_is_one_row(n_stages):
+    # the edge head and each decoder edge refresh end in a single row, and
+    # no separate readout parameter sits after them
+    m = model(n_decoder_stages=n_stages)
+    s = m.store
+    assert not [name for name in s.names() if name.endswith(".we")]
+    assert s["edge_head.w3"].data.shape == (1, 8)
+    assert s["edge_head.b3"].data.shape == (1,)
+    for n in range(n_stages):
+        assert s[f"decoder.stage{n}.ffn_e.w2"].data.shape == (1, 16)
+        assert s[f"decoder.stage{n}.ffn_e.b2"].data.shape == (1,)
+    # the last stage's logits feed the matching layer directly
+    raw = np.random.default_rng(44).uniform(size=(2, 3, 4))
+    out = m.forward_frame(rnd((2, 8), 45), raw, rnd((3, 8), 46))
+    assert out.match.data.shape == (3, 3)
+    assert len(out.bundles) == n_stages
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +193,7 @@ def test_decoder_layer_zero_weights_degenerate_residual():
     m = model()
     s = m.store
     for n in (0, 1):
-        for w in ("wq", "wk", "we", "wa"):
+        for w in ("wq", "wk", "wa"):
             s[f"decoder.stage{n}.{w}"].data[:] = 0.0
         for w in ("ffn.w1", "ffn.w2"):
             s[f"decoder.stage{n}.{w}"].data[:] = 0.0
@@ -340,7 +346,7 @@ def test_matching_uses_separate_parameters_from_decoder():
     e_t, e_d, o_edge = rnd((2, 8), 37), rnd((2, 8), 38), rnd((2, 2), 39)
     before = m.matching_layer(e_t, e_d, o_edge, 0.3).data.copy()
     for n in (0, 1):
-        for w in ("wq", "wk", "we", "wa"):
+        for w in ("wq", "wk", "wa"):
             m.store[f"decoder.stage{n}.{w}"].data[:] = 0.0
     after = m.matching_layer(e_t, e_d, o_edge, 0.3).data
     np.testing.assert_array_equal(before, after)
