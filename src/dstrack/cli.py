@@ -23,6 +23,7 @@ from .evaluate import evaluate
 from .gradsuite import format_outcomes, run_suite, suite_passed
 from .heuristics import build_heuristic_model
 from .sequence_io import (
+    SequenceFile,
     load_sequence,
     read_results_jsonl,
     result_to_dict,
@@ -145,9 +146,20 @@ def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
     return model
 
 
+def _load_sequence(path: str, cfg: EngineConfig) -> SequenceFile:
+    """load_sequence, refusing poses whose keypoint count the config does
+    not describe (the OKS kappas come from the config)."""
+    seq = load_sequence(path)
+    count = seq.keypoint_count()
+    if count is not None and count != cfg.keypoint_count:
+        raise ValueError(f"{path}: poses have {count} keypoints, "
+                         f"config expects keypoint_count {cfg.keypoint_count}")
+    return seq
+
+
 def cmd_track(args) -> int:
     cfg = _load_config(args)
-    seq = load_sequence(args.sequence)
+    seq = _load_sequence(args.sequence, cfg)
     frames = seq.detection_frames()
     crops_only = any(d.appearance is None for dets in frames for d in dets)
     model = _load_model(cfg, args.weights, args.seed, with_backbone=crops_only)
@@ -162,7 +174,7 @@ def cmd_track(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    seqs = [labeled_frames(load_sequence(p)) for p in args.sequences]
+    seqs = [labeled_frames(_load_sequence(p, cfg)) for p in args.sequences]
     schedule = LrSchedule(lr=args.lr) if args.lr is not None else None
     model, curve = train_toy(seqs, cfg, seed=args.seed, n_iters=args.iters,
                              schedule=schedule)

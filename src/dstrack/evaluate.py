@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import iou
+from .geometry import iou_grid
 from .sequence_io import SequenceFile
 from .tracker import FrameResult
 
@@ -54,10 +54,8 @@ def _match_frame(outputs, gt_indices, dets, threshold):
     """IoU-maximal one-to-one matching between output dets and gt dets."""
     if not outputs or not gt_indices:
         return []
-    scores = np.zeros((len(outputs), len(gt_indices)))
-    for a, (det_idx, _) in enumerate(outputs):
-        for b, gt_idx in enumerate(gt_indices):
-            scores[a, b] = iou(dets[det_idx].box, dets[gt_idx].box)
+    scores = iou_grid([dets[det_idx].box for det_idx, _ in outputs],
+                      [dets[gt_idx].box for gt_idx in gt_indices])
     rows, cols = linear_sum_assignment(-scores)
     return [(a, b) for a, b in zip(rows, cols) if scores[a, b] > threshold]
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .config import EngineConfig, kappa_array
 from .datatypes import Box, Detection, Pose
-from .geometry import edge_features, oks_triplet
+from .geometry import edge_features, oks_grid
 from .transformer import TrackingModel
 
 PROB_EPS = 1e-12
@@ -56,18 +56,15 @@ def greedy_identity_assignment(det_poses: Sequence[Pose], gt_poses: Sequence[Pos
     """Label detections by repeatedly taking the globally best detection/gt
     pair by shared-keypoint OKS, above a floor.  Each gt is used once, each
     detection at most once."""
-    kappas = np.asarray(kappas, dtype=np.float64)
     n_det, n_gt = len(det_poses), len(gt_poses)
     labels: List[Optional[int]] = [None] * n_det
     if n_det == 0 or n_gt == 0:
         return IdentityLabels(labels)
-    sim = np.zeros((n_det, n_gt))
-    for i, dp in enumerate(det_poses):
-        for j, (gp, gb) in enumerate(zip(gt_poses, gt_boxes)):
-            sim[i, j] = oks_triplet(dp, gp, gb, kappas)[0]
-    sim = sim.copy()
+    # shared OKS is symmetric in the two poses, so score with the gt first
+    # (its box is the scale) and transpose to detections x gt
+    sim = oks_grid(gt_poses, det_poses, [b.area for b in gt_boxes], kappas)[:, :, 0].T.copy()
     while True:
-        i, j = np.unravel_index(np.argmax(sim), sim.shape)
+        i, j = divmod(int(np.argmax(sim)), n_gt)
         if sim[i, j] <= floor:
             break
         labels[i] = gt_ids[j]

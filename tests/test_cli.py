@@ -255,6 +255,24 @@ def test_checkpoint_with_unexpected_tensor_is_runtime_error(tmp_path, cfg_path, 
     assert "stray.w" in err
 
 
+@pytest.mark.parametrize("command", ["track", "train"])
+def test_keypoint_count_mismatch_is_runtime_error(tmp_path, cfg_path, capsys, command):
+    # an 8-keypoint sequence under a 4-keypoint config is refused at load,
+    # naming both counts, before any frame runs
+    seq = tmp_path / "seq.json"
+    run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "3",
+         "--config", cfg_path, "--out", str(seq)])
+    other = tmp_path / "k4.json"
+    other.write_text(json.dumps(dict(SMALL_CFG, keypoint_count=4, oks_kappas=[0.08] * 4)))
+    argv = {"track": ["track", str(seq)],
+            "train": ["train", str(seq), "--iters", "1", "--out", str(tmp_path / "m.ckpt")]}
+    capsys.readouterr()
+    assert run(argv[command] + ["--config", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "poses have 8 keypoints, config expects keypoint_count 4" in err
+
+
 def _drop_box(doc):
     del doc["frames"][1]["detections"][2]["box"]
 

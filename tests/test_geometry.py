@@ -1,11 +1,11 @@
-"""IoU / OKS / edge features, checked against scalar hand evaluations and a
-pairwise-loop oracle."""
+"""IoU / OKS / edge features, checked against scalar hand evaluations; the
+broadcast grids are checked against the scalar references pair by pair."""
 import numpy as np
 import pytest
 
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose, Track
-from dstrack.geometry import edge_features, iou, oks_triplet
+from dstrack.geometry import edge_features, iou, iou_grid, oks_grid, oks_triplet
 
 
 def pose_at(coords, conf=None, visible=None):
@@ -135,10 +135,6 @@ def test_oks_mismatched_k_raises():
 # ---------------------------------------------------------------------------
 # edge features
 
-def make_track(coords, box, tid=0):
-    return Track(id=tid, embedding=np.zeros(4), last_pose=pose_at(coords), last_box=box)
-
-
 def cfg_k5():
     return EngineConfig(d=8, keypoint_count=5, oks_kappas=(0.1,) * 5)
 
@@ -165,22 +161,101 @@ def test_edge_features_self_similarity():
         np.testing.assert_allclose(feats[i, i], np.ones(4), atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_edge_features_match_pairwise_oracle(seed):
-    cfg = cfg_k5()
-    rng = np.random.default_rng(seed)
+def hidden_pose(rng, k=5):
+    """A pose with no visible keypoint (flag off, confidence under the floor)."""
+    return Pose(coords=rng.uniform(0, 50, size=(k, 2)), conf=np.zeros(k),
+                visible=np.zeros(k, bool))
 
+
+def patchy_pose(rng, k=5):
+    """A pose with about a quarter of its keypoints hidden."""
+    return Pose(coords=rng.uniform(0, 50, size=(k, 2)), conf=rng.uniform(0, 0.1, size=k),
+                visible=rng.integers(0, 2, size=k).astype(bool))
+
+
+def oracle_boxes(rng, n_tracks, n_dets):
+    """Random boxes, with detections 0-2 made identical to, touching, and
+    disjoint from track 0's box where the grid has room."""
     def rand_box():
         x0, y0 = rng.uniform(0, 40, 2)
         return Box(x0, y0, x0 + rng.uniform(5, 30), y0 + rng.uniform(5, 30))
 
-    tracks = [make_track(rng.uniform(0, 50, (5, 2)), rand_box(), tid=i) for i in range(2)]
-    dets = [Detection(box=rand_box(), pose=random_pose(rng)) for _ in range(3)]
+    track_boxes = [rand_box() for _ in range(n_tracks)]
+    det_boxes = [rand_box() for _ in range(n_dets)]
+    if n_tracks and n_dets >= 3:
+        b = track_boxes[0]
+        det_boxes[0] = b
+        det_boxes[1] = Box(b.x_max, b.y_min, b.x_max + 7.0, b.y_max)
+        det_boxes[2] = b.shifted(500.0, 500.0)
+    return track_boxes, det_boxes
+
+
+@pytest.mark.parametrize("seed, n_tracks, n_dets, k", [
+    (0, 2, 3, 5), (1, 2, 3, 5), (2, 2, 3, 5), (3, 2, 3, 5), (4, 2, 3, 5),
+    (5, 6, 7, 5), (6, 6, 7, 17), (7, 7, 6, 17), (8, 6, 7, 9),
+    (9, 0, 4, 5), (10, 4, 0, 5), (11, 1, 1, 17),
+], ids=["0", "1", "2", "3", "4", "6x7-k5", "6x7-k17", "7x6-k17", "6x7-k9",
+        "no_tracks", "no_dets", "1x1-k17"])
+def test_edge_features_match_pairwise_oracle(seed, n_tracks, n_dets, k):
+    rng = np.random.default_rng(seed)
+    cfg = EngineConfig(d=8, keypoint_count=k,
+                       oks_kappas=tuple(rng.uniform(0.05, 0.2, size=k)))
+    track_boxes, det_boxes = oracle_boxes(rng, n_tracks, n_dets)
+    make = [random_pose, patchy_pose]
+    track_poses = [make[j % 2](rng, k) for j in range(n_tracks)]
+    det_poses = [make[i % 2](rng, k) for i in range(n_dets)]
+    # a pose with nothing visible on the track side, and on the detection side
+    if n_tracks > 2:
+        track_poses[2] = hidden_pose(rng, k)
+    if n_dets > 3:
+        det_poses[3] = hidden_pose(rng, k)
+    tracks = [Track(id=j, embedding=np.zeros(4), last_pose=p, last_box=b)
+              for j, (p, b) in enumerate(zip(track_poses, track_boxes))]
+    dets = [Detection(box=b, pose=p) for b, p in zip(det_boxes, det_poses)]
     feats = edge_features(tracks, dets, cfg)
+    assert feats.shape == (n_tracks, n_dets, 4)
     kap = np.asarray(cfg.oks_kappas)
     for j, t in enumerate(tracks):
         for i, d in enumerate(dets):
-            assert feats[j, i, 0] == pytest.approx(iou(t.last_box, d.box), abs=1e-6)
-            expect = oks_triplet(t.last_pose, d.pose, t.last_box, kap)
-            np.testing.assert_allclose(feats[j, i, 1:], expect, atol=1e-6)
+            expect = np.concatenate([[iou(t.last_box, d.box)],
+                                     oks_triplet(t.last_pose, d.pose, t.last_box, kap)])
+            np.testing.assert_allclose(feats[j, i], expect, rtol=1e-12, atol=0)
     assert (feats >= 0).all() and (feats <= 1).all()
+    if n_tracks and n_dets >= 3:
+        assert feats[0, 0, 0] == 1.0 and feats[0, 1, 0] == 0.0 and feats[0, 2, 0] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grids_bit_identical_when_every_keypoint_is_visible(seed):
+    # with no hidden keypoint the grid sums the same values in the same
+    # order as the scalar reference, so tracking on fully visible poses
+    # does not depend on which of the two computed its features
+    rng = np.random.default_rng(seed)
+    k = 15
+    kap = rng.uniform(0.03, 0.2, size=k)
+    boxes_a, boxes_b = oracle_boxes(rng, 5, 6)
+    poses_a = [pose_at(rng.uniform(0, 60, (k, 2))) for _ in range(5)]
+    poses_b = [pose_at(rng.uniform(0, 60, (k, 2))) for _ in range(6)]
+    ious = iou_grid(boxes_a, boxes_b)
+    oks = oks_grid(poses_a, poses_b, [b.area for b in boxes_a], kap)
+    for a in range(5):
+        for b in range(6):
+            assert ious[a, b] == iou(boxes_a[a], boxes_b[b])
+            assert np.array_equal(oks[a, b], oks_triplet(poses_a[a], poses_b[b],
+                                                          boxes_a[a], kap))
+
+
+@pytest.mark.parametrize("track_k, det_k, kappa_k", [(5, 4, 5), (4, 4, 5)],
+                         ids=["keypoint_count", "kappa_count"])
+def test_edge_features_raise_like_oks_triplet(track_k, det_k, kappa_k):
+    rng = np.random.default_rng(0)
+    cfg = EngineConfig(d=8, keypoint_count=kappa_k, oks_kappas=(0.1,) * kappa_k)
+    box = Box(0, 0, 10, 10)
+    track = Track(id=0, embedding=np.zeros(4), last_pose=random_pose(rng, k=track_k),
+                  last_box=box)
+    det = Detection(box=box, pose=random_pose(rng, k=det_k))
+    with pytest.raises(ValueError) as scalar:
+        oks_triplet(track.last_pose, det.pose, box, np.asarray(cfg.oks_kappas))
+    with pytest.raises(ValueError) as grid:
+        edge_features([track], [det], cfg)
+    assert str(grid.value) == str(scalar.value)

@@ -1,8 +1,9 @@
-"""Decision regression: the heuristic tracker's results on the four synth
-scenarios must match a recorded golden file byte for byte.
+"""Numerics regression: the heuristic tracker's results on the four synth
+scenarios, and a short toy-training loss curve, must match recorded golden
+files byte for byte.
 
-Regenerate the golden file (only when a change is meant to alter tracking
-decisions) with
+Regenerate the golden files (only when a change is meant to alter tracking
+decisions or training numerics) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,8 +15,16 @@ from dstrack.heuristics import build_heuristic_model
 from dstrack.sequence_io import result_to_dict
 from dstrack.synth import SCENARIOS, synth_sequence
 from dstrack.tracker import run_sequence
+from dstrack.training import labeled_frames, train_toy
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_tracks.jsonl")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden_tracks.jsonl")
+GOLDEN_LOSS = os.path.join(DATA, "golden_loss.json")
+
+# the acceptance suite's small config
+SMALL = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
+                     ffn_hidden=32)
+LOSS_ITERS = 20
 
 
 def golden_lines():
@@ -30,12 +39,30 @@ def golden_lines():
     return "".join(lines)
 
 
+def golden_loss_text():
+    """train_toy's loss curve on a crowd and a duplicates sequence (seed 0);
+    floats are written with repr, so equal text means equal bits."""
+    seqs = [labeled_frames(synth_sequence(scenario, seed=0, cfg=SMALL))
+            for scenario in ("crowd", "duplicates")]
+    _, curve = train_toy(seqs, SMALL, seed=0, n_iters=LOSS_ITERS)
+    rows = [{"iteration": r.iteration, "match": r.match, "enc": list(r.enc),
+             "dec": list(r.dec), "total": r.total} for r in curve]
+    return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
+
+
 def test_tracking_matches_golden_file():
     with open(GOLDEN) as fh:
         assert golden_lines() == fh.read()
 
 
+def test_training_matches_golden_loss_curve():
+    with open(GOLDEN_LOSS) as fh:
+        assert golden_loss_text() == fh.read()
+
+
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    os.makedirs(DATA, exist_ok=True)
     with open(GOLDEN, "w") as fh:
         fh.write(golden_lines())
+    with open(GOLDEN_LOSS, "w") as fh:
+        fh.write(golden_loss_text())

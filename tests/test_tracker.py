@@ -1,4 +1,5 @@
 """Assignment, duplicate filtering, and track lifecycle."""
+import functools
 import itertools
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
+from dstrack.heuristics import build_heuristic_model
+from dstrack.synth import SCENARIOS, synth_sequence
 from dstrack.tracker import (
     FrameResult,
     TrackerState,
@@ -292,6 +295,53 @@ def test_step_with_backbone_crops():
     result, state, _ = step(TrackerState(), [det], model)
     assert len(state.tracks) == 1
     assert np.isfinite(state.tracks[0].embedding).all()
+
+
+# ---------------------------------------------------------------------------
+# detection-order equivariance of a whole step()
+
+# the acceptance suite's small config
+SMALL = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
+                     ffn_hidden=32)
+
+
+@functools.lru_cache(maxsize=None)
+def small_heuristic_model():
+    return build_heuristic_model(SMALL)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SCENARIOS), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_step_is_equivariant_in_detection_order(scenario, seed, perm_seed):
+    # tracking every frame's detections in a shuffled order moves each
+    # decision with its detection; only the ids handed to new tracks of the
+    # same frame may trade places
+    model = small_heuristic_model()
+    frames = synth_sequence(scenario, seed=seed, cfg=SMALL).detection_frames()
+    rng = np.random.default_rng(perm_seed)
+    state, shuffled = TrackerState(), TrackerState()
+    to_plain = {}  # shuffled-run track id -> plain-run track id
+    for dets in frames:
+        perm = [int(k) for k in rng.permutation(len(dets))]
+        res, state, _ = step(state, dets, model)
+        got, shuffled, _ = step(shuffled, [dets[k] for k in perm], model)
+
+        plain_new = dict(res.new_tracks)
+        assert sorted(perm[i] for i, _ in got.new_tracks) == sorted(plain_new)
+        assert sorted(t for _, t in got.new_tracks) == sorted(plain_new.values())
+        to_plain.update((t, plain_new[perm[i]]) for i, t in got.new_tracks)
+        assert (sorted((perm[i], to_plain[t]) for i, t in got.assignments)
+                == sorted(res.assignments))
+        assert sorted(perm[i] for i in got.duplicates) == sorted(res.duplicates)
+        assert sorted(to_plain[t] for t in got.closed_tracks) == sorted(res.closed_tracks)
+
+        plain_tracks = {t.id: t for t in state.tracks}
+        assert sorted(to_plain[t.id] for t in shuffled.tracks) == sorted(plain_tracks)
+        for t in shuffled.tracks:
+            twin = plain_tracks[to_plain[t.id]]
+            assert (t.last_box, t.frames_since_match, t.active) == \
+                (twin.last_box, twin.frames_since_match, twin.active)
+            np.testing.assert_allclose(t.embedding, twin.embedding, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

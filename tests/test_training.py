@@ -8,6 +8,7 @@ from dstrack import nn
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
 from dstrack.training import (
+    GREEDY_OKS_FLOOR,
     AdamW,
     IdentityLabels,
     LabeledFrame,
@@ -94,6 +95,31 @@ def test_greedy_three_dets_two_gts_hand_ordering():
     # each identity at most once
     used = [l for l in labels.det_identity if l is not None]
     assert len(used) == len(set(used))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_greedy_matches_trace_oracle_on_scalar_oks(seed):
+    # detections scattered around the gt poses, most with OKS near the
+    # floor, some far, some partly hidden; the oracle's sim comes from the
+    # scalar oks_triplet
+    from dstrack.geometry import oks_triplet
+    rng = np.random.default_rng(seed)
+    n_gt, n_det = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+    anchors = rng.uniform(0, 120, size=(n_gt, 2))
+    gt = [pose_at(x, y) for x, y in anchors]
+    boxes = [Box(x - 4, y - 4, x + 16, y + 16) for x, y in anchors]
+    gt_ids = [10 + j for j in range(n_gt)]
+    dets = []
+    for _ in range(n_det):
+        base = gt[int(rng.integers(n_gt))].coords
+        spread = rng.uniform(0.5, 6.0) if rng.uniform() < 0.8 else 40.0
+        coords = base + rng.normal(0, spread, size=base.shape)
+        visible = rng.uniform(size=4) < 0.8
+        dets.append(Pose(coords=coords, conf=np.where(visible, 0.9, 0.0), visible=visible))
+    labels = greedy_identity_assignment(dets, gt, gt_ids, boxes, KAP)
+    sim = np.array([[oks_triplet(d, g, b, KAP)[0] for g, b in zip(gt, boxes)]
+                    for d in dets])
+    assert labels.det_identity == greedy_trace_oracle(sim, gt_ids, GREEDY_OKS_FLOOR)
 
 
 def test_identity_groups():
