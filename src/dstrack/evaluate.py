@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import iou_grid
 from .sequence_io import SequenceFile
-from .tracker import FrameResult
+from .tracker import FrameResult, hungarian
 
 IOU_MATCH_THRESHOLD = 0.5
 
@@ -56,8 +55,7 @@ def _match_frame(outputs, gt_indices, dets, threshold):
         return []
     scores = iou_grid([dets[det_idx].box for det_idx, _ in outputs],
                       [dets[gt_idx].box for gt_idx in gt_indices])
-    rows, cols = linear_sum_assignment(-scores)
-    return [(a, b) for a, b in zip(rows, cols) if scores[a, b] > threshold]
+    return [(a, b) for a, b in hungarian(-scores) if scores[a, b] > threshold]
 
 
 def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile,

@@ -92,9 +92,10 @@ def _passthrough_stage(store, prefix):
         _zero(store, f"{prefix}.{name}")
 
 
-def _linear_ffn_e(store, prefix, hidden, scale):
+def _linear_ffn_e(store, prefix, scale):
     """Scalar-in, scalar-out refresh FFN_E(t) = scale * t, up to GELU
     curvature of order 1e-3."""
+    hidden = store[f"{prefix}.w1"].data.shape[0]
     slope = _gelu_slope(_LN_SHIFT)
     g0 = _gelu_val(_LN_SHIFT)
     _set(store, f"{prefix}.w1", np.full((hidden, 1), _FFN_E_EPS))
@@ -148,7 +149,7 @@ def build_heuristic_model(cfg: EngineConfig, seed: int = 0,
         p = f"decoder.stage{n}"
         _passthrough_stage(s, p)
         last = n + 1 == cfg.n_decoder_stages
-        _linear_ffn_e(s, f"{p}.ffn_e", cfg.ffn_hidden, MATCH_EDGE_SCALE if last else 1.0)
+        _linear_ffn_e(s, f"{p}.ffn_e", MATCH_EDGE_SCALE if last else 1.0)
 
     _identity_head(s, "track_head", cfg.d)
     _identity_head(s, "new_track_head", cfg.d)

@@ -56,15 +56,20 @@ def fuse(alpha: float, a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
     return nn.add(nn.mul(a, alpha), nn.mul(b, 1.0 - alpha))
 
 
+def attention_logits(a, b, wq, wk) -> nn.Tensor:
+    """Scaled dot-product logits of rows of `a` (queries) against rows of
+    `b` (keys): (a wq^T)(b wk^T)^T / sqrt(d_k)."""
+    q = nn.linear(a, wq)
+    k = nn.linear(b, wk)
+    return nn.mul(nn.linear(q, k), 1.0 / np.sqrt(q.data.shape[-1]))
+
+
 def dual_source_attention(e_t, e_d, o_edge, alpha, wq, wk, wa):
     """One attention evaluation: returns (track update, bundle).
 
     e_t: T x d tracks, e_d: D x d detections, o_edge: T x D geometry logits.
     """
-    d = wq.data.shape[1]
-    q = nn.linear(e_t, wq)
-    k = nn.linear(e_d, wk)
-    o_appear = nn.mul(nn.linear(q, k), 1.0 / np.sqrt(d))        # T x D
+    o_appear = attention_logits(e_t, e_d, wq, wk)               # T x D
     d_count = o_appear.data.shape[1]
     o_edge = nn.as_tensor(o_edge)
     s_appear = nn.softmax_null(o_appear)
@@ -92,10 +97,10 @@ class TrackingModel:
         d, d_e, hidden = cfg.d, cfg.d_e, cfg.ffn_hidden
         s = self.store
 
-        def ffn_params(prefix, width):
-            s.create(f"{prefix}.w1", (hidden, width), rng)
-            s.create(f"{prefix}.b1", (hidden,), rng, init="zeros")
-            s.create(f"{prefix}.w2", (width, hidden), rng)
+        def ffn_params(prefix, width, inner=hidden):
+            s.create(f"{prefix}.w1", (inner, width), rng)
+            s.create(f"{prefix}.b1", (inner,), rng, init="zeros")
+            s.create(f"{prefix}.w2", (width, inner), rng)
             s.create(f"{prefix}.b2", (width,), rng, init="zeros")
 
         def ln_params(prefix, width):
@@ -130,10 +135,7 @@ class TrackingModel:
             ln_params(f"{p}.ln1", d)
             ln_params(f"{p}.ln2", d)
             # per-pair edge refresh: scalar fused logit -> scalar logit
-            s.create(f"{p}.ffn_e.w1", (hidden, 1), rng)
-            s.create(f"{p}.ffn_e.b1", (hidden,), rng, init="zeros")
-            s.create(f"{p}.ffn_e.w2", (1, hidden), rng)
-            s.create(f"{p}.ffn_e.b2", (1,), rng, init="zeros")
+            ffn_params(f"{p}.ffn_e", 1)
 
         for head in ("track_head", "new_track_head"):
             s.create(f"{head}.w1", (d, d), rng)
@@ -184,12 +186,9 @@ class TrackingModel:
         if x.data.shape[0] == 0:
             return x, [nn.Tensor(np.zeros((0, 1))) for _ in range(self.cfg.n_encoder_stages)]
         s = self.store
-        d = self.cfg.d
         for n in range(self.cfg.n_encoder_stages):
             p = f"encoder.stage{n}"
-            q = nn.linear(x, s[f"{p}.wq"])
-            k = nn.linear(x, s[f"{p}.wk"])
-            logits = nn.mul(nn.linear(q, k), 1.0 / np.sqrt(d))
+            logits = attention_logits(x, x, s[f"{p}.wq"], s[f"{p}.wk"])
             probs = nn.softmax_null(logits)                      # D x (D+1)
             attn.append(probs)
             weights = nn.take(probs, (slice(None), slice(0, x.data.shape[0])))
@@ -214,8 +213,7 @@ class TrackingModel:
         else:
             gate_in = fuse(alpha, bundle.o_appear, bundle.o_edge)
         scalar = nn.reshape(gate_in, (t_count, d_count, 1))
-        h = nn.gelu(nn.linear(scalar, s[f"{p}.ffn_e.w1"], s[f"{p}.ffn_e.b1"]))
-        new_edge = nn.linear(h, s[f"{p}.ffn_e.w2"], s[f"{p}.ffn_e.b2"])
+        new_edge = self._ffn(scalar, f"{p}.ffn_e")
         return x, nn.reshape(new_edge, (t_count, d_count)), bundle
 
     def decoder_forward(self, e_t, o_edge, e_d, alpha: float):
@@ -265,10 +263,7 @@ class TrackingModel:
         column is the no-track probability.  o_edge: T x D geometry logits.
         No linear layer after the gate."""
         s = self.store
-        d = self.cfg.d
-        q = nn.linear(e_d, s["match.wq"])
-        k = nn.linear(e_t, s["match.wk"])
-        o_appear = nn.mul(nn.linear(q, k), 1.0 / np.sqrt(d))     # D x T
+        o_appear = attention_logits(e_d, e_t, s["match.wq"], s["match.wk"])  # D x T
         o_edge = nn.transpose(o_edge)                            # D x T
         return fuse(alpha, nn.softmax_null(o_appear), nn.softmax_null(o_edge))
 

@@ -184,9 +184,8 @@ def test_gradsuite_covers_every_op_the_engine_calls():
 
 def _check(fn, *arrays, seed=0, tol=1e-4):
     inputs = [t(a) for a in arrays]
-    res = nn.grad_check(fn, inputs, rng=np.random.default_rng(seed))
-    assert not res.skipped
-    assert res.max_rel_error <= tol, f"max rel error {res.max_rel_error:.3e}"
+    err = nn.grad_check(fn, inputs, rng=np.random.default_rng(seed))
+    assert err <= tol, f"max rel error {err:.3e}"
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -231,19 +230,6 @@ def test_gradcheck_layer_norm(seed):
         rng.standard_normal(6),
         seed=seed,
     )
-
-
-def test_gradcheck_layer_norm_degenerate_row_is_flagged():
-    x = t(np.ones((2, 4)))  # constant rows: gradient is numerically unstable
-    res = nn.grad_check(
-        nn.layer_norm,
-        [x],
-        skip_if=lambda ts: "degenerate layer_norm input"
-        if (ts[0].data.var(axis=-1) < 10.0 * nn.LN_EPS).any()
-        else "",
-    )
-    assert res.skipped
-    assert "degenerate" in res.reason
 
 
 @pytest.mark.parametrize("seed", range(3))
