@@ -39,14 +39,14 @@ class EngineConfig:
     """All tunables of the association engine in one place."""
 
     d: int = 256                      # embedding width
-    d_e: int = -1                     # edge head hidden width; -1 means "same as d"
+    d_e: int = -1                     # edge path width; -1 means "same as d"
     keypoint_count: int = 15
     n_encoder_stages: int = 2
     n_decoder_stages: int = 2
     alpha: float = 0.3                # appearance/pose blend weight
     tau_dup: float = 0.4              # duplicate suppression threshold
     tau_age: int = 60                 # frames a track may go unmatched
-    ffn_hidden: int = 1024
+    ffn_hidden: int = 1024            # hidden width of the d-wide stage FFNs
     heatmap_kernel_width: float = 10.0  # Gaussian std in px for rendered heatmaps
     oks_kappas: Tuple[float, ...] = ()  # empty means "derive from keypoint_count"
     edge_update_mode: str = "features"  # "features" (pre-softmax) or "weights"
@@ -72,7 +72,7 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
     if cfg.d <= 0:
         raise ValueError("embedding dim must be positive")
     if cfg.d_e <= 0:
-        raise ValueError("edge head width d_e must be positive")
+        raise ValueError("edge width d_e must be positive")
     if cfg.keypoint_count <= 0:
         raise ValueError("keypoint count must be positive")
     if cfg.n_encoder_stages <= 0:

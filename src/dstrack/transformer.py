@@ -134,8 +134,8 @@ class TrackingModel:
             ffn_params(f"{p}.ffn", d)
             ln_params(f"{p}.ln1", d)
             ln_params(f"{p}.ln2", d)
-            # per-pair edge refresh: scalar fused logit -> scalar logit
-            ffn_params(f"{p}.ffn_e", 1)
+            # per-pair edge refresh: scalar fused logit -> d_e -> scalar logit
+            ffn_params(f"{p}.ffn_e", 1, d_e)
 
         for head in ("track_head", "new_track_head"):
             s.create(f"{head}.w1", (d, d), rng)

@@ -255,6 +255,28 @@ def test_checkpoint_with_unexpected_tensor_is_runtime_error(tmp_path, cfg_path, 
     assert "stray.w" in err
 
 
+def test_checkpoint_with_ffn_hidden_wide_edge_refresh_is_runtime_error(tmp_path, cfg_path,
+                                                                       capsys):
+    # a checkpoint whose decoder edge refresh is ffn_hidden wide, as written
+    # before d_e became the refresh width, is refused with no conversion
+    seq = short_sequence(tmp_path, cfg_path)
+    cfg = EngineConfig(**dict(SMALL_CFG, oks_kappas=tuple(SMALL_CFG["oks_kappas"])))
+    state = TrackingModel(cfg).store.state_dict()
+    hidden = cfg.ffn_hidden
+    for n in range(cfg.n_decoder_stages):
+        p = f"decoder.stage{n}.ffn_e"
+        state[f"{p}.w1"] = np.zeros((hidden, 1))
+        state[f"{p}.b1"] = np.zeros(hidden)
+        state[f"{p}.w2"] = np.zeros((1, hidden))
+    ckpt = tmp_path / "wide.ckpt"
+    nn.save_checkpoint(str(ckpt), state)
+    capsys.readouterr()
+    assert run(["track", str(seq), "--config", cfg_path, "--weights", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "decoder.stage0.ffn_e.w1" in err
+
+
 @pytest.mark.parametrize("command", ["track", "train"])
 def test_keypoint_count_mismatch_is_runtime_error(tmp_path, cfg_path, capsys, command):
     # an 8-keypoint sequence under a 4-keypoint config is refused at load,

@@ -122,16 +122,20 @@ def test_edge_logit_sensitive_to_raw_features():
 
 @pytest.mark.parametrize("n_stages", [1, 2, 3])
 def test_every_edge_output_layer_is_one_row(n_stages):
-    # the edge head and each decoder edge refresh end in a single row, and
-    # no separate readout parameter sits after them
-    m = model(n_decoder_stages=n_stages)
+    # the edge head and each decoder edge refresh end in a single row, no
+    # separate readout parameter sits after them, and d_e (not ffn_hidden)
+    # is the width of the whole edge path
+    m = model(n_decoder_stages=n_stages, d_e=4, ffn_hidden=16)
     s = m.store
     assert not [name for name in s.names() if name.endswith(".we")]
-    assert s["edge_head.w3"].data.shape == (1, 8)
+    assert s["edge_head.w3"].data.shape == (1, 4)
     assert s["edge_head.b3"].data.shape == (1,)
     for n in range(n_stages):
-        assert s[f"decoder.stage{n}.ffn_e.w2"].data.shape == (1, 16)
-        assert s[f"decoder.stage{n}.ffn_e.b2"].data.shape == (1,)
+        p = f"decoder.stage{n}.ffn_e"
+        assert s[f"{p}.w1"].data.shape == (4, 1)
+        assert s[f"{p}.b1"].data.shape == (4,)
+        assert s[f"{p}.w2"].data.shape == (1, 4)
+        assert s[f"{p}.b2"].data.shape == (1,)
     # the last stage's logits feed the matching layer directly
     raw = np.random.default_rng(44).uniform(size=(2, 3, 4))
     out = m.forward_frame(rnd((2, 8), 45), raw, rnd((3, 8), 46))
