@@ -132,9 +132,16 @@ class Detection:
             hm = _frozen_array(self.heatmaps)
             if hm.ndim != 3 or hm.shape[0] != self.pose.keypoint_count:
                 raise ValueError("heatmaps must have shape (K, H, W)")
+            if not np.isfinite(hm).all():
+                raise ValueError("detection heatmaps must be finite")
             object.__setattr__(self, "heatmaps", hm)
         if self.crop is not None:
-            object.__setattr__(self, "crop", _frozen_array(self.crop))
+            crop = _frozen_array(self.crop)
+            if crop.ndim != 3 or crop.shape[0] != 3:
+                raise ValueError("crop must have shape (3, H, W)")
+            if not np.isfinite(crop).all():
+                raise ValueError("detection crop must be finite")
+            object.__setattr__(self, "crop", crop)
 
     def to_dict(self) -> dict:
         out = {

@@ -165,7 +165,7 @@ def _check_conv3x3(rng):
 
 def _check_conv3x3_unbatched(rng):
     x = _t(rng, 2, 4, 5)
-    w = _t(rng, 2, 2, 3, 3)
+    w = _t(rng, 3, 2, 3, 3)
     return lambda *i: nn.conv3x3(*i), [x, w]
 
 

@@ -13,6 +13,7 @@ import json
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 LN_EPS = 1e-5
@@ -476,6 +477,23 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     return linear(gelu(linear(x, w1, b1)), w2, b2)
 
 
+def _patch_cols(xd):
+    """(N, C, H, W) -> (N, C*9, H*W): each pixel's zero-padded 3x3 patch,
+    ordered like a flattened (C, 3, 3) kernel."""
+    n, c, h, wd_ = xd.shape
+    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    patches = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (N, C, H, W, 3, 3)
+    return patches.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * wd_)
+
+
+def _correlate3x3(xd, w):
+    """Same-padded 3x3 cross-correlation of (N, C_in, H, W) with a
+    (C_out, C_in, 3, 3) kernel as one matmul over the patch columns."""
+    n, _, h, wd_ = xd.shape
+    y = w.reshape(w.shape[0], -1) @ _patch_cols(xd)
+    return y.reshape(n, w.shape[0], h, wd_)
+
+
 def conv3x3(x, w, b=None) -> Tensor:
     """Same-padded stride-1 3x3 cross-correlation.
 
@@ -491,14 +509,7 @@ def conv3x3(x, w, b=None) -> Tensor:
         raise ValueError(
             f"conv3x3: input has {xd.shape[1]} channels, kernel expects {w.data.shape[1]}"
         )
-    n, _, h, wd_ = xd.shape
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    y = np.zeros((n, w.data.shape[0], h, wd_))
-    for dy in range(3):
-        for dx in range(3):
-            y += np.einsum(
-                "oi,nihw->nohw", w.data[:, :, dy, dx], xp[:, :, dy : dy + h, dx : dx + wd_]
-            )
+    y = _correlate3x3(xd, w.data)
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
@@ -506,25 +517,21 @@ def conv3x3(x, w, b=None) -> Tensor:
         parents.append(b)
     out = Tensor(y[0] if squeeze else y, parents=tuple(parents))
 
+    # the closure keeps only x, w and b: every conv of a frame stays on the
+    # tape until backward, so holding the padded input or its patch columns
+    # here would hold them all at once
     def backward(g):
         gy = g[None] if squeeze else g
         if x.requires_grad:
-            gp = np.zeros_like(xp)
-            for dy in range(3):
-                for dx in range(3):
-                    gp[:, :, dy : dy + h, dx : dx + wd_] += np.einsum(
-                        "oi,nohw->nihw", w.data[:, :, dy, dx], gy
-                    )
-            gx = gp[:, :, 1 : 1 + h, 1 : 1 + wd_]
+            # adjoint of a same-padded correlation: correlate with the kernel
+            # flipped in space and transposed in channels
+            gx = _correlate3x3(gy, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
             x.accumulate(gx[0] if squeeze else gx)
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            for dy in range(3):
-                for dx in range(3):
-                    gw[:, :, dy, dx] = np.einsum(
-                        "nohw,nihw->oi", gy, xp[:, :, dy : dy + h, dx : dx + wd_]
-                    )
-            w.accumulate(gw)
+            xs = x.data[None] if squeeze else x.data
+            n, c_out = gy.shape[:2]
+            gw = gy.reshape(n, c_out, -1) @ _patch_cols(xs).transpose(0, 2, 1)
+            w.accumulate(gw.sum(axis=0).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             b.accumulate(gy.sum(axis=(0, 2, 3)))
 

@@ -25,17 +25,13 @@ def render_heatmaps(pose: Pose, height: int, width: int, kernel_width: float) ->
 
     Coordinates are expected in the crop frame: x along width, y along height.
     """
-    k = pose.keypoint_count
-    out = np.zeros((k, height, width))
     ys = np.arange(height, dtype=np.float64)[:, None]
     xs = np.arange(width, dtype=np.float64)[None, :]
     two_s2 = 2.0 * kernel_width * kernel_width
-    mask = pose.visibility_mask()
-    for i in range(k):
-        if not mask[i]:
-            continue
-        x0, y0 = pose.coords[i]
-        out[i] = np.exp(-((xs - x0) ** 2 + (ys - y0) ** 2) / two_s2)
+    x0 = pose.coords[:, 0, None, None]
+    y0 = pose.coords[:, 1, None, None]
+    out = np.exp(-((xs - x0) ** 2 + (ys - y0) ** 2) / two_s2)
+    out[~pose.visibility_mask()] = 0.0
     return out
 
 

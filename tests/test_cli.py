@@ -198,10 +198,10 @@ def assert_one_error_line(err):
     assert "Traceback" not in err
 
 
-def short_sequence(tmp_path, cfg_path):
+def short_sequence(tmp_path, cfg_path, crops=False):
     seq = tmp_path / "seq.json"
     run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "2",
-         "--config", cfg_path, "--out", str(seq)])
+         "--config", cfg_path, "--out", str(seq)] + ["--crops"] * crops)
     return seq
 
 
@@ -315,15 +315,20 @@ def _null_duplicates(doc):
     doc["frames"][1]["duplicates"] = None
 
 
+def _nan_in_crop(doc):
+    doc["frames"][1]["detections"][0]["crop"][0][0][0] = float("nan")
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_box, "frame 1, detection 2: missing field 'box'"),
     (_detections_not_list, "frame 0: detections must be a list"),
     (_null_index, "frame 1 in the frames list: index: expected an integer, got None"),
     (_short_image_size, "frame 0: image_size must be [height, width]"),
     (_null_duplicates, "frame 1: duplicates must be a list"),
+    (_nan_in_crop, "frame 1, detection 0: detection crop must be finite"),
 ])
 def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
-    seq = short_sequence(tmp_path, cfg_path)
+    seq = short_sequence(tmp_path, cfg_path, crops=damage is _nan_in_crop)
     doc = json.loads(seq.read_text())
     damage(doc)
     seq.write_text(json.dumps(doc))

@@ -78,8 +78,20 @@ def test_detection_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="appearance must be finite"):
             Detection(box=box, pose=pose, appearance=[0.0, bad, 1.0])
-    d = Detection(box=box, pose=pose, heatmaps=np.zeros((3, 8, 8)))
-    assert d.heatmaps.shape == (3, 8, 8)
+    for bad in (np.nan, np.inf):
+        hm = np.zeros((3, 8, 8))
+        hm[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="heatmaps must be finite"):
+            Detection(box=box, pose=pose, heatmaps=hm)
+        crop = np.zeros((3, 8, 4))
+        crop[2, 5, 1] = bad
+        with pytest.raises(ValueError, match="crop must be finite"):
+            Detection(box=box, pose=pose, crop=crop)
+    for shape in ((8, 4), (1, 8, 4), (4, 8, 4), (1, 3, 8, 4)):
+        with pytest.raises(ValueError, match=r"crop must have shape \(3, H, W\)"):
+            Detection(box=box, pose=pose, crop=np.zeros(shape))
+    d = Detection(box=box, pose=pose, heatmaps=np.zeros((3, 8, 8)), crop=np.zeros((3, 8, 4)))
+    assert d.heatmaps.shape == (3, 8, 8) and d.crop.shape == (3, 8, 4)
 
 
 def test_track_validation():

@@ -1,13 +1,16 @@
 """Numeric core: forward values against hand-computed references, gradients
 against central differences, checkpoint round-trips."""
 import ast
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dstrack import nn
+from dstrack.config import EngineConfig
 from dstrack.gradsuite import CHECKS
+from dstrack.spapde import init_backbone_params
 
 
 def t(x, grad=True):
@@ -123,6 +126,102 @@ def test_conv3x3_unbatched_and_channel_mismatch():
     np.testing.assert_allclose(y3, y4[0], atol=1e-12)
     with pytest.raises(ValueError, match="channels"):
         nn.conv3x3(t(np.zeros((2, 4, 4))), t(w))
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_conv3x3_backward_matches_naive_loop(batched):
+    # C_in != C_out and H != W, so a wrong channel transpose or spatial flip
+    # in the input gradient's adjoint cannot cancel out
+    rng = np.random.default_rng(5)
+    n, c_in, c_out, h, w_ = 2 if batched else 1, 2, 3, 5, 4
+    x = rng.standard_normal((n, c_in, h, w_))
+    w = rng.standard_normal((c_out, c_in, 3, 3))
+    b = rng.standard_normal(c_out)
+    gy = rng.standard_normal((n, c_out, h, w_))
+    tx, tw, tb = t(x if batched else x[0]), t(w), t(b)
+    nn.conv3x3(tx, tw, tb)._backward(gy if batched else gy[0])
+
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    gb = np.zeros_like(b)
+    for s in range(n):
+        for o in range(c_out):
+            for i in range(h):
+                for j in range(w_):
+                    g = gy[s, o, i, j]
+                    gb[o] += g
+                    for c in range(c_in):
+                        for dy in range(3):
+                            for dx in range(3):
+                                gxp[s, c, i + dy, j + dx] += w[o, c, dy, dx] * g
+                                gw[o, c, dy, dx] += xp[s, c, i + dy, j + dx] * g
+    gx = gxp[:, :, 1:-1, 1:-1]
+    np.testing.assert_allclose(tx.grad, gx if batched else gx[0], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tw.grad, gw, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tb.grad, gb, rtol=0, atol=1e-10)
+
+
+def conv3x3_per_tap(x, w, b):
+    """Reference: the 3x3 correlation as nine per-tap channel contractions."""
+    n, _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.zeros((n, w.shape[0], h, wd))
+    for dy in range(3):
+        for dx in range(3):
+            y += np.einsum("oi,nihw->nohw", w[:, :, dy, dx], xp[:, :, dy : dy + h, dx : dx + wd])
+    return y + b[None, :, None, None]
+
+
+def backbone_conv_layers():
+    """(name, kernel shape, input height, input width) of every conv the
+    backbone runs at the default config."""
+    cfg = EngineConfig()
+    store = nn.ParamStore()
+    init_backbone_params(store, cfg, np.random.default_rng(0))
+    layers = []
+    for name, p in store.items():
+        if p.data.ndim == 4:
+            scale = 2 ** int(name.split(".")[1].removeprefix("stage"))
+            layers.append((name, p.data.shape, cfg.crop_height // scale, cfg.crop_width // scale))
+    return layers
+
+
+BACKBONE_CONV_LAYERS = backbone_conv_layers()
+
+
+@pytest.mark.parametrize("name, shape, h, w_", BACKBONE_CONV_LAYERS,
+                         ids=[layer[0] for layer in BACKBONE_CONV_LAYERS])
+def test_conv3x3_forward_matches_per_tap_reference(name, shape, h, w_):
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    x = rng.standard_normal((2, shape[1], h, w_))
+    w = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    ref = conv3x3_per_tap(x, w, b)
+    # relative to the layer's largest output: the two sum in different
+    # orders, so outputs that cancel to near zero differ in more digits
+    err = np.abs(nn.conv3x3(t(x), t(w), t(b)).data - ref).max()
+    assert err <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_conv3x3_backward_closure_holds_only_its_inputs(batched):
+    # every conv of a frame stays on the tape until backward runs, so a
+    # padded input or patch matrix kept by the closure would be held once
+    # per conv for the whole frame
+    rng = np.random.default_rng(0)
+    x = t(rng.standard_normal((2, 3, 8, 6) if batched else (3, 8, 6)))
+    w, b = t(rng.standard_normal((4, 3, 3, 3))), t(rng.standard_normal(4))
+    out = nn.conv3x3(x, w, b)
+    allowed = (x, w, b)
+    for cell in out._backward.__closure__:
+        held = cell.cell_contents
+        if isinstance(held, nn.Tensor):
+            assert any(held is a for a in allowed)
+        elif isinstance(held, np.ndarray):
+            assert any(held is a.data for a in allowed)
+        else:
+            assert isinstance(held, (bool, int, float, type(None))), type(held)
 
 
 def test_avg_pool2_value():

@@ -70,6 +70,36 @@ def test_render_monotone_in_distance():
     assert (np.diff(col[:9]) > 0).all()
 
 
+def render_heatmaps_loop(pose, height, width, kernel_width):
+    """Reference: one Gaussian channel at a time, skipping hidden keypoints."""
+    out = np.zeros((pose.keypoint_count, height, width))
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    xs = np.arange(width, dtype=np.float64)[None, :]
+    two_s2 = 2.0 * kernel_width * kernel_width
+    mask = pose.visibility_mask()
+    for i in range(pose.keypoint_count):
+        if mask[i]:
+            x0, y0 = pose.coords[i]
+            out[i] = np.exp(-((xs - x0) ** 2 + (ys - y0) ** 2) / two_s2)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_render_equals_per_keypoint_loop(seed):
+    rng = np.random.default_rng(seed)
+    for k in (1, 4, 17):
+        for _ in range(10):
+            # most keypoints land off the 16x8 crop, on every side; a quarter are hidden
+            coords = rng.uniform([-12.0, -20.0], [20.0, 36.0], size=(k, 2))
+            conf = rng.uniform(size=k) * (rng.uniform(size=k) < 0.5)
+            pose = Pose(coords=coords, conf=conf, visible=rng.uniform(size=k) < 0.5)
+            width = float(rng.uniform(0.5, 4.0))
+            got = render_heatmaps(pose, 16, 8, width)
+            assert np.array_equal(got, render_heatmaps_loop(pose, 16, 8, width))
+    hidden = Pose(coords=np.zeros((3, 2)), conf=np.zeros(3), visible=np.zeros(3, bool))
+    assert np.array_equal(render_heatmaps(hidden, 16, 8, 2.0), np.zeros((3, 16, 8)))
+
+
 def test_pool_heatmaps_halves_resolution():
     h = np.arange(32, dtype=np.float64).reshape(2, 4, 4)
     p = pool_heatmaps(h)
