@@ -147,13 +147,26 @@ def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
 
 
 def _load_sequence(path: str, cfg: EngineConfig) -> SequenceFile:
-    """load_sequence, refusing poses whose keypoint count the config does
-    not describe (the OKS kappas come from the config)."""
+    """load_sequence, refusing what the config cannot run before any frame
+    does: poses whose keypoint count it does not describe (the OKS kappas
+    come from the config), crops and heatmaps of another size than its
+    crop, and detections with neither an appearance vector nor a crop."""
     seq = load_sequence(path)
     count = seq.keypoint_count()
     if count is not None and count != cfg.keypoint_count:
         raise ValueError(f"{path}: poses have {count} keypoints, "
                          f"config expects keypoint_count {cfg.keypoint_count}")
+    size = (cfg.crop_height, cfg.crop_width)
+    for fr in seq.frames:
+        for j, det in enumerate(fr.detections):
+            where = f"{path}: frame {fr.index}, detection {j}"
+            if det.appearance is None and det.crop is None:
+                raise ValueError(f"{where}: has neither an appearance vector nor a crop")
+            for what, grid in (("crop is", det.crop), ("heatmaps are", det.heatmaps)):
+                if grid is not None and grid.shape[1:] != size:
+                    raise ValueError(
+                        f"{where}: {what} {grid.shape[1]}x{grid.shape[2]}, config "
+                        f"expects crop_height x crop_width {size[0]}x{size[1]}")
     return seq
 
 

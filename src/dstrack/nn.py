@@ -31,7 +31,12 @@ class Tensor:
         self.grad = None
         self._parents = tuple(parents)
         self._backward = backward
-        self.requires_grad = requires_grad or any(p.requires_grad for p in self._parents)
+        if not requires_grad:
+            for p in self._parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -43,8 +48,13 @@ class Tensor:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy laid out like data, as zeros_like + g was: a gradient
+            # kept in g's own order (F for a transposed g) would round
+            # differently in a later matmul or row sum
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self, grad=None):
         """Reverse sweep from this node through its recorded tape."""
@@ -91,19 +101,24 @@ class Tensor:
 
 
 def _topo_order(root: Tensor):
-    order, seen, stack = [], set(), [(root, False)]
+    """Post-order of the nodes that need a gradient: a depth-first walk that
+    visits each node's parents last to first.  The order fixes how gradients
+    are summed.  Nodes without requires_grad have no such parents, so
+    skipping them leaves the order of the rest unchanged."""
+    if not root.requires_grad:
+        return []
+    order, seen = [], {root}
+    stack = [(root, reversed(root._parents))]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
+        node, parents = stack[-1]
+        for p in parents:
+            if p.requires_grad and p not in seen:
+                seen.add(p)
+                stack.append((p, reversed(p._parents)))
+                break
+        else:
+            stack.pop()
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
     return order
 
 
@@ -204,19 +219,16 @@ def relu(x) -> Tensor:
     return out
 
 
-def _gelu_value(z: np.ndarray) -> np.ndarray:
-    return 0.5 * z * (1.0 + erf(z / _SQRT2))
-
-
 def gelu(x) -> Tensor:
     """Exact (erf-based) GELU, not the tanh approximation."""
     x = as_tensor(x)
-    out = Tensor(_gelu_value(x.data), parents=(x,))
+    z = x.data
+    t = 1.0 + erf(z / _SQRT2)
+    out = Tensor(0.5 * z * t, parents=(x,))
 
     def backward(g):
         if x.requires_grad:
-            z = x.data
-            cdf = 0.5 * (1.0 + erf(z / _SQRT2))
+            cdf = 0.5 * t
             pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
             x.accumulate(g * (cdf + z * pdf))
 
@@ -441,10 +453,11 @@ def layer_norm(x, gain=None, bias=None, eps=LN_EPS) -> Tensor:
     n = x.data.shape[-1]
     if n < 2:
         raise ValueError("layer_norm needs at least 2 features in the last dim")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the operations np.mean and np.var run, with the input centred once
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     parents = [x]
     gdata = None if gain is None else as_tensor(gain)
     bdata = None if bias is None else as_tensor(bias)
@@ -460,8 +473,8 @@ def layer_norm(x, gain=None, bias=None, eps=LN_EPS) -> Tensor:
     def backward(g):
         gy = g if gdata is None else g * gdata.data
         if x.requires_grad:
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+            m1 = gy.sum(axis=-1, keepdims=True) / n
+            m2 = (gy * xhat).sum(axis=-1, keepdims=True) / n
             x.accumulate(inv * (gy - m1 - xhat * m2))
         if gdata is not None and gdata.requires_grad:
             gdata.accumulate(_unbroadcast(g * xhat, gdata.data.shape))

@@ -115,11 +115,12 @@ def _detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn
     from .spapde import appearance_embed_batch, render_heatmaps
 
     crops, heats = [], []
-    for d in dets:
+    for j, d in enumerate(dets):
         if d.crop is None:
             raise RuntimeError(
-                "detections lack appearance embeddings and no backbone is configured"
-                if d.appearance is None else "mixed appearance/crop detections")
+                f"detection {j} has neither an appearance embedding nor a crop"
+                if d.appearance is None else
+                f"mixed appearance/crop detections: detection {j} has no crop")
         crops.append(np.asarray(d.crop, dtype=np.float64))
         if d.heatmaps is not None:
             heats.append(np.asarray(d.heatmaps, dtype=np.float64))

@@ -156,20 +156,30 @@ class AdamW:
         self._v = {k: np.zeros_like(t.data) for k, t in store.items()}
 
     def step(self):
+        """One update of every tensor that has a gradient, run over their
+        concatenated elements; tensors whose grad is None stay untouched."""
         lr = self.schedule.at(self.step_count)
         self.step_count += 1
         t = self.step_count
-        for name, param in self.store.items():
-            g = param.grad
-            if g is None:
-                continue
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            param.data = param.data - lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * param.data
-            )
+        live = [(name, param) for name, param in self.store.items() if param.grad is not None]
+        if not live:
+            return
+        g = np.concatenate([param.grad.ravel() for _, param in live])
+        data = np.concatenate([param.data.ravel() for _, param in live])
+        m = np.concatenate([self._m[name].ravel() for name, _ in live])
+        v = np.concatenate([self._v[name].ravel() for name, _ in live])
+        m = self.beta1 * m + (1 - self.beta1) * g
+        v = self.beta2 * v + (1 - self.beta2) * g * g
+        m_hat = m / (1 - self.beta1**t)
+        v_hat = v / (1 - self.beta2**t)
+        data = data - lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * data)
+        offset = 0
+        for name, param in live:
+            shape, end = param.data.shape, offset + param.data.size
+            self._m[name] = m[offset:end].reshape(shape)
+            self._v[name] = v[offset:end].reshape(shape)
+            param.data = data[offset:end].reshape(shape)
+            offset = end
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,16 @@ def test_gradcheck_output_independent_of_hash_seed():
     assert b"gradient suite passed" in outs[0]
 
 
+def test_python_m_dstrack_runs_the_cli():
+    src = str(Path(dstrack.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "dstrack", "gradcheck", "--help"],
+                          env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert b"usage: dstrack gradcheck" in proc.stdout
+
+
 def assert_one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -319,6 +329,22 @@ def _nan_in_crop(doc):
     doc["frames"][1]["detections"][0]["crop"][0][0][0] = float("nan")
 
 
+def _short_crop(doc):
+    det = doc["frames"][1]["detections"][0]
+    det["crop"] = [channel[:8] for channel in det["crop"]]
+
+
+def _small_heatmaps(doc):
+    doc["frames"][1]["detections"][0]["heatmaps"] = np.zeros((8, 8, 8)).tolist()
+
+
+def _drop_crop(doc):
+    del doc["frames"][1]["detections"][0]["crop"]
+
+
+CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop)
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_box, "frame 1, detection 2: missing field 'box'"),
     (_detections_not_list, "frame 0: detections must be a list"),
@@ -326,9 +352,15 @@ def _nan_in_crop(doc):
     (_short_image_size, "frame 0: image_size must be [height, width]"),
     (_null_duplicates, "frame 1: duplicates must be a list"),
     (_nan_in_crop, "frame 1, detection 0: detection crop must be finite"),
+    # the config's crop is 64x32; both are refused at load, not at frame 1
+    (_short_crop, "frame 1, detection 0: crop is 8x32, "
+                  "config expects crop_height x crop_width 64x32"),
+    (_small_heatmaps, "frame 1, detection 0: heatmaps are 8x8, "
+                      "config expects crop_height x crop_width 64x32"),
+    (_drop_crop, "frame 1, detection 0: has neither an appearance vector nor a crop"),
 ])
 def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
-    seq = short_sequence(tmp_path, cfg_path, crops=damage is _nan_in_crop)
+    seq = short_sequence(tmp_path, cfg_path, crops=damage in CROP_DAMAGES)
     doc = json.loads(seq.read_text())
     damage(doc)
     seq.write_text(json.dumps(doc))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dstrack import nn
 from dstrack.config import EngineConfig
@@ -260,6 +261,123 @@ def test_graph_reuse_accumulates():
     y = x * x + x
     y.backward()
     np.testing.assert_allclose(x.grad, [7.0])
+
+
+# ---------------------------------------------------------------------------
+# tape and op internals, pinned byte for byte against their plain forms: the
+# order in which the tape sums gradients and the rounding of every op fix the
+# loss curve and the trained weights
+
+def _push_all_parents_order(root):
+    """Post-order of the depth-first walk that pushes every unseen parent,
+    over all nodes, kept to those that need a gradient."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return [node for node in order if node.requires_grad]
+
+
+def _random_dag(rng):
+    """Leaves with and without requires_grad, then inner nodes over 1-3
+    earlier nodes: parents repeat (like mul(a, a)) and are shared, and
+    subtrees over no-grad leaves need no gradient."""
+    nodes = [nn.Tensor(0.0, requires_grad=bool(rng.uniform() < 0.4))
+             for _ in range(int(rng.integers(1, 6)))]
+    for _ in range(int(rng.integers(1, 25))):
+        picks = rng.integers(0, len(nodes), size=int(rng.integers(1, 4)))
+        nodes.append(nn.Tensor(0.0, parents=[nodes[i] for i in picks]))
+    return nodes
+
+
+def test_topo_order_matches_push_all_parents_walk():
+    rng = np.random.default_rng(11)
+    roots_without_grad = 0
+    for _ in range(400):
+        nodes = _random_dag(rng)
+        for root in nodes[-3:] + [nodes[int(rng.integers(len(nodes)))]]:
+            roots_without_grad += not root.requires_grad
+            assert [id(n) for n in nn._topo_order(root)] == \
+                [id(n) for n in _push_all_parents_order(root)]
+    assert roots_without_grad > 0
+
+
+def test_topo_order_on_ops():
+    a, c = t([1.0, 2.0]), t([3.0, 4.0], grad=False)
+    shared = nn.mul(a, a)
+    no_grad = nn.mul(c, c)
+    root = nn.add(nn.add(shared, nn.mul(no_grad, shared)), a)
+    assert [id(n) for n in nn._topo_order(root)] == \
+        [id(n) for n in _push_all_parents_order(root)]
+    assert no_grad not in nn._topo_order(root)
+    assert nn._topo_order(no_grad) == []
+
+
+def test_first_accumulate_copies_in_the_layout_of_data():
+    # a gradient kept in g's own order would round differently in a later
+    # matmul or row sum than the zeros_like(data) + g the tape used to build
+    rng = np.random.default_rng(12)
+    x = t(np.zeros((3, 4)))
+    g = rng.standard_normal((4, 3)).T
+    x.accumulate(g)
+    assert x.grad.flags.c_contiguous
+    assert not np.shares_memory(x.grad, g)
+    assert np.array_equal(x.grad, np.zeros((3, 4)) + g)
+    g2 = rng.standard_normal((3, 4))
+    x.accumulate(g2)
+    assert np.array_equal(x.grad, np.zeros((3, 4)) + g + g2)
+
+    xt = nn.transpose(t(np.zeros((4, 3))))
+    xt.accumulate(g2)
+    assert xt.grad.flags.f_contiguous and not xt.grad.flags.c_contiguous
+    assert np.array_equal(xt.grad, np.zeros_like(xt.data) + g2)
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (2, 5, 7), "transposed"])
+@pytest.mark.parametrize("affine", [True, False])
+def test_layer_norm_matches_mean_var_reference(shape, affine):
+    rng = np.random.default_rng(13)
+    xd = (rng.standard_normal((9, 6)).T if shape == "transposed"
+          else rng.standard_normal(shape)) * 3.0 + 1.5
+    n = xd.shape[-1]
+    gain, bias = rng.standard_normal(n), rng.standard_normal(n)
+    g = rng.standard_normal(xd.shape)
+    x = t(xd)
+    y = nn.layer_norm(x, t(gain), t(bias)) if affine else nn.layer_norm(x)
+    y.backward(g)
+
+    mu = xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + nn.LN_EPS)
+    xhat = (xd - mu) * inv
+    gl = np.zeros_like(y.data)  # the output gradient as the tape lays it out
+    gl += g
+    gy = gl * gain if affine else gl
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+    assert np.array_equal(y.data, xhat * gain + bias if affine else xhat)
+    assert np.array_equal(x.grad, inv * (gy - m1 - xhat * m2))
+
+
+def test_gelu_matches_erf_reference():
+    rng = np.random.default_rng(14)
+    z = rng.standard_normal((40, 50)) * 3.0
+    g = rng.standard_normal(z.shape)
+    x = t(z)
+    y = nn.gelu(x)
+    y.backward(g)
+    cdf = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+    pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * z * z)
+    assert np.array_equal(y.data, 0.5 * z * (1.0 + erf(z / np.sqrt(2.0))))
+    assert np.array_equal(x.grad, g * (cdf + z * pdf))
 
 
 # ---------------------------------------------------------------------------

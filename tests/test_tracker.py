@@ -282,6 +282,19 @@ def test_step_requires_appearance_or_backbone():
         step(TrackerState(), [det], model)
 
 
+def test_step_names_the_detection_without_appearance_or_crop():
+    # with a backbone, the fault is the detection, not the configuration
+    cfg = tiny_cfg()
+    model = TrackingModel(cfg, seed=0, with_backbone=True)
+    rng = np.random.default_rng(9)
+    pose = Pose(coords=rng.uniform(0, 20, (4, 2)), conf=np.ones(4), visible=np.ones(4, bool))
+    dets = [Detection(box=Box(0, 0, 20, 40), pose=pose, crop=rng.uniform(size=(3, 16, 8))),
+            Detection(box=Box(30, 0, 50, 40), pose=pose)]
+    with pytest.raises(RuntimeError, match="detection 1 has neither an appearance "
+                                           "embedding nor a crop"):
+        step(TrackerState(), dets, model)
+
+
 def test_step_with_backbone_crops():
     cfg = tiny_cfg()
     model = TrackingModel(cfg, seed=0, with_backbone=True)

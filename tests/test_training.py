@@ -252,6 +252,42 @@ def test_adamw_descends_quadratic():
     np.testing.assert_allclose(w.data, np.full(4, 2.0), atol=0.05)
 
 
+def test_adamw_matches_per_tensor_update_bitwise():
+    # the flat update must round exactly like the per-tensor expressions;
+    # "b" has no gradient every third step and must then stay untouched
+    rng = np.random.default_rng(21)
+    store = nn.ParamStore()
+    for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 3, 2)), ("s", (1,))):
+        store.create(name, shape, rng)
+    opt = AdamW(store, LrSchedule(lr=0.01, warmup_iters=3, decay_at=8))
+    beta1, beta2, eps, wd = 0.9, 0.999, 1e-8, 0.01
+    ref = {name: p.data.copy() for name, p in store.items()}
+    ref_m = {name: np.zeros_like(p.data) for name, p in store.items()}
+    ref_v = {name: np.zeros_like(p.data) for name, p in store.items()}
+    for k in range(12):
+        for name, p in store.items():
+            p.grad = None if name == "b" and k % 3 == 1 else rng.standard_normal(p.data.shape)
+        lr, step = opt.schedule.at(k), k + 1
+        skipped = store["b"].data
+        for name, p in store.items():
+            g = p.grad
+            if g is None:
+                continue
+            m = ref_m[name] = beta1 * ref_m[name] + (1 - beta1) * g
+            v = ref_v[name] = beta2 * ref_v[name] + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**step)
+            v_hat = v / (1 - beta2**step)
+            ref[name] = ref[name] - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref[name])
+        opt.step()
+        if k % 3 == 1:
+            assert store["b"].data is skipped
+        for name, p in store.items():
+            assert p.data.shape == ref[name].shape
+            assert np.array_equal(p.data, ref[name]), (k, name)
+            assert np.array_equal(opt._m[name], ref_m[name]), (k, name)
+            assert np.array_equal(opt._v[name], ref_v[name]), (k, name)
+
+
 def test_lr_schedule_phases():
     s = LrSchedule(lr=1.0, warmup_iters=10, decay_at=100, decay_factor=10)
     assert s.at(0) == pytest.approx(0.1)
