@@ -32,7 +32,7 @@ from .sequence_io import (
     write_results_jsonl,
 )
 from .synth import SCENARIOS, synth_sequence
-from .tracker import run_sequence
+from .tracker import check_detections, run_sequence
 from .training import LrSchedule, labeled_frames, train_toy
 from .transformer import TrackingModel
 
@@ -149,24 +149,17 @@ def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
 def _load_sequence(path: str, cfg: EngineConfig) -> SequenceFile:
     """load_sequence, refusing what the config cannot run before any frame
     does: poses whose keypoint count it does not describe (the OKS kappas
-    come from the config), crops and heatmaps of another size than its
-    crop, and detections with neither an appearance vector nor a crop."""
+    come from the config), and any frame that check_detections refuses."""
     seq = load_sequence(path)
     count = seq.keypoint_count()
     if count is not None and count != cfg.keypoint_count:
         raise ValueError(f"{path}: poses have {count} keypoints, "
                          f"config expects keypoint_count {cfg.keypoint_count}")
-    size = (cfg.crop_height, cfg.crop_width)
     for fr in seq.frames:
-        for j, det in enumerate(fr.detections):
-            where = f"{path}: frame {fr.index}, detection {j}"
-            if det.appearance is None and det.crop is None:
-                raise ValueError(f"{where}: has neither an appearance vector nor a crop")
-            for what, grid in (("crop is", det.crop), ("heatmaps are", det.heatmaps)):
-                if grid is not None and grid.shape[1:] != size:
-                    raise ValueError(
-                        f"{where}: {what} {grid.shape[1]}x{grid.shape[2]}, config "
-                        f"expects crop_height x crop_width {size[0]}x{size[1]}")
+        try:
+            check_detections(fr.detections, cfg)
+        except ValueError as e:
+            raise ValueError(f"{path}: frame {fr.index}, {e}") from None
     return seq
 
 

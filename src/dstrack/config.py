@@ -1,7 +1,7 @@
 """Engine configuration and validation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -60,9 +60,6 @@ class EngineConfig:
             object.__setattr__(self, "oks_kappas", default_kappas(self.keypoint_count))
         else:
             object.__setattr__(self, "oks_kappas", tuple(float(k) for k in self.oks_kappas))
-
-    def with_overrides(self, **kwargs) -> "EngineConfig":
-        return validate_config(replace(self, **kwargs))
 
 
 def validate_config(cfg: EngineConfig) -> EngineConfig:

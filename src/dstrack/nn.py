@@ -647,12 +647,6 @@ class ParamStore:
                 )
             t.data = arr
 
-    def save(self, path):
-        save_checkpoint(path, self.state_dict())
-
-    def load(self, path):
-        self.load_state(load_checkpoint(path))
-
 
 CHECKPOINT_MAGIC = b"NTC1"
 CHECKPOINT_VERSION = 1

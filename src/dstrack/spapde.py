@@ -8,8 +8,6 @@ are highlighted, which matters when crops overlap.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import nn
@@ -33,12 +31,6 @@ def render_heatmaps(pose: Pose, height: int, width: int, kernel_width: float) ->
     out = np.exp(-((xs - x0) ** 2 + (ys - y0) ** 2) / two_s2)
     out[~pose.visibility_mask()] = 0.0
     return out
-
-
-def pool_heatmaps(h: np.ndarray) -> np.ndarray:
-    """Halve heatmap resolution by 2x2 average pooling (numpy, not learned)."""
-    *lead, hh, ww = h.shape
-    return h.reshape(*lead, hh // 2, 2, ww // 2, 2).mean(axis=(-3, -1))
 
 
 def init_spapde_params(store: nn.ParamStore, prefix: str, in_channels: int,
@@ -94,36 +86,25 @@ def init_backbone_params(store: nn.ParamStore, cfg: EngineConfig, rng: np.random
 
 
 def appearance_embed_batch(crops, heatmaps, store: nn.ParamStore, cfg: EngineConfig) -> nn.Tensor:
-    """Embed a batch of person crops, pose-modulated when heatmaps are given.
+    """Embed a batch of person crops, pose-modulated by their heatmaps.
 
-    crops: (N, 3, H, W); heatmaps: (N, K, H, W) or None.  Normalization
-    statistics are computed from this batch alone, so persons in one call
-    share statistics (callers batch per frame).
+    crops: (N, 3, H, W); heatmaps: (N, K, H, W).  Normalization statistics
+    are computed from this batch alone, so persons in one call share
+    statistics (callers batch per frame).
     """
     crops = np.asarray(crops, dtype=np.float64)
     if crops.ndim != 4 or crops.shape[1] != 3:
         raise ValueError("crops must have shape (N, 3, H, W)")
     if crops.shape[2] != cfg.crop_height or crops.shape[3] != cfg.crop_width:
         raise ValueError("crop size does not match config")
-    if heatmaps is None:
-        warnings.warn("no heatmaps supplied; appearance embedding falls back to "
-                      "plain normalization", stacklevel=2)
-    else:
-        heatmaps = np.asarray(heatmaps, dtype=np.float64)
-        if heatmaps.shape != (crops.shape[0], cfg.keypoint_count, *crops.shape[2:]):
-            raise ValueError("heatmaps must have shape (N, K, H, W)")
+    hm = np.asarray(heatmaps, dtype=np.float64)
+    if hm.shape != (crops.shape[0], cfg.keypoint_count, *crops.shape[2:]):
+        raise ValueError("heatmaps must have shape (N, K, H, W)")
     x = nn.Tensor(crops)
-    hm = heatmaps
     for s in range(len(STAGE_CHANNELS)):
         x = nn.conv3x3(x, store[f"backbone.stage{s}.conv.w"], store[f"backbone.stage{s}.conv.b"])
-        if hm is not None:
-            gamma, beta = spapde_modulation(hm, store, f"backbone.stage{s}.spapde")
-        else:
-            gamma = nn.Tensor(np.ones((1, 1, 1, 1)))
-            beta = nn.Tensor(np.zeros((1, 1, 1, 1)))
-        x = nn.relu(spapde_forward(x, gamma, beta))
-        x = nn.avg_pool2(x)
-        if hm is not None:
-            hm = pool_heatmaps(hm)
+        gamma, beta = spapde_modulation(hm, store, f"backbone.stage{s}.spapde")
+        x = nn.avg_pool2(nn.relu(spapde_forward(x, gamma, beta)))
+        hm = nn.avg_pool2(hm)
     pooled = nn.reduce_mean(x, axis=(2, 3))
     return nn.linear(pooled, store["backbone.head.w"], store["backbone.head.b"])

@@ -45,7 +45,6 @@ class FrameResult:
 class TrackerState:
     tracks: List[Track] = field(default_factory=list)
     next_id: int = 0
-    frame_index: int = -1
 
 
 def hungarian(cost: np.ndarray) -> List[Tuple[int, int]]:
@@ -98,32 +97,54 @@ def assign_and_filter(match: np.ndarray, tau_dup: float):
     return matched, duplicates, new
 
 
-def _detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.Tensor:
-    """Appearance embeddings for a frame: precomputed vectors when present,
-    otherwise the pose-modulated backbone on crops."""
-    cfg = model.cfg
-    if all(d.appearance is not None for d in dets):
-        for d in dets:
-            if d.appearance.shape != (cfg.d,):
+def check_detections(dets: Sequence[Detection], cfg: EngineConfig) -> None:
+    """Refuse a frame's detections that the config cannot embed.
+
+    A detection's appearance is its precomputed vector, of length d, or the
+    backbone's embedding of its crop and heatmaps, both crop_height x
+    crop_width.  A frame takes one of the two: when any detection lacks a
+    vector, the backbone embeds every detection, so each needs a crop.
+    """
+    size = (cfg.crop_height, cfg.crop_width)
+    for j, d in enumerate(dets):
+        a = d.appearance
+        if a is not None and a.shape != (cfg.d,):
+            got = f"length {a.shape[0]}" if a.ndim == 1 else f"shape {a.shape}"
+            raise ValueError(f"detection {j}: appearance embedding has {got}, "
+                             f"config expects d {cfg.d}")
+        if a is None and d.crop is None:
+            raise ValueError(f"detection {j}: has neither an appearance vector nor a crop")
+        for what, grid in (("crop is", d.crop), ("heatmaps are", d.heatmaps)):
+            if grid is not None and grid.shape[1:] != size:
                 raise ValueError(
-                    f"appearance embedding has length {d.appearance.shape[0]}, "
-                    f"config expects {cfg.d}")
-        return nn.Tensor(np.stack([d.appearance for d in dets]))
-    if "backbone.head.w" not in model.store:
+                    f"detection {j}: {what} {grid.shape[1]}x{grid.shape[2]}, config "
+                    f"expects crop_height x crop_width {size[0]}x{size[1]}")
+    crop_only = next((j for j, d in enumerate(dets) if d.appearance is None), None)
+    vector_only = next((j for j, d in enumerate(dets) if d.crop is None), None)
+    if crop_only is not None and vector_only is not None:
+        raise ValueError(
+            f"detection {vector_only}: has an appearance vector but no crop, while "
+            f"detection {crop_only} has only a crop; the backbone needs a crop "
+            f"for every detection of the frame")
+
+
+def _detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.Tensor:
+    """Appearance embeddings for a frame: precomputed vectors when every
+    detection has one, otherwise the pose-modulated backbone on crops."""
+    cfg = model.cfg
+    needs_backbone = any(d.appearance is None for d in dets)
+    if needs_backbone and "backbone.head.w" not in model.store:
         raise RuntimeError(
             "detections lack appearance embeddings and no backbone is configured")
+    check_detections(dets, cfg)
+    if not needs_backbone:
+        return nn.Tensor(np.stack([d.appearance for d in dets]))
     from .spapde import appearance_embed_batch, render_heatmaps
 
-    crops, heats = [], []
-    for j, d in enumerate(dets):
-        if d.crop is None:
-            raise RuntimeError(
-                f"detection {j} has neither an appearance embedding nor a crop"
-                if d.appearance is None else
-                f"mixed appearance/crop detections: detection {j} has no crop")
-        crops.append(np.asarray(d.crop, dtype=np.float64))
+    heats = []
+    for d in dets:
         if d.heatmaps is not None:
-            heats.append(np.asarray(d.heatmaps, dtype=np.float64))
+            heats.append(d.heatmaps)
         else:
             # map pose into the crop frame and render
             w = d.box.x_max - d.box.x_min
@@ -134,7 +155,8 @@ def _detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn
             pose = dataclasses.replace(d.pose, coords=coords)
             heats.append(render_heatmaps(pose, cfg.crop_height, cfg.crop_width,
                                          cfg.heatmap_kernel_width))
-    return appearance_embed_batch(np.stack(crops), np.stack(heats), model.store, cfg)
+    crops = np.stack([d.crop for d in dets])
+    return appearance_embed_batch(crops, np.stack(heats), model.store, cfg)
 
 
 def _age_and_close(tracks: Sequence[Track], tau_age: int):
@@ -161,12 +183,11 @@ def step(state: TrackerState, detections: Sequence[Detection],
     """
     cfg = model.cfg
     tracks = state.tracks
-    frame_index = state.frame_index + 1
 
     if len(detections) == 0:
         survivors, closed = _age_and_close(tracks, cfg.tau_age)
         result = FrameResult(closed_tracks=closed)
-        return result, TrackerState(survivors, state.next_id, frame_index), None
+        return result, TrackerState(survivors, state.next_id), None
 
     e_d0 = _detection_embeddings(detections, model)
     raw = edge_features(tracks, detections, cfg)
@@ -214,7 +235,7 @@ def step(state: TrackerState, detections: Sequence[Detection],
     survivors, closed = _age_and_close(unmatched_existing, cfg.tau_age)
     result.closed_tracks = closed
     all_tracks = sorted(new_tracks + survivors, key=lambda t: t.id)
-    return result, TrackerState(all_tracks, next_id, frame_index), fwd
+    return result, TrackerState(all_tracks, next_id), fwd
 
 
 def run_sequence(frames: Sequence[Sequence[Detection]], model: TrackingModel,

@@ -292,7 +292,6 @@ def train_toy(sequences: Sequence[Sequence[LabeledFrame]], cfg: EngineConfig,
               seed: int = 0, n_iters: int = 200,
               schedule: Optional[LrSchedule] = None,
               model: Optional[TrackingModel] = None,
-              duplicate_prob: float = DUPLICATE_PROB,
               ) -> Tuple[TrackingModel, List[LossRow]]:
     """Train the association model on labeled sequences.
 
@@ -316,8 +315,7 @@ def train_toy(sequences: Sequence[Sequence[LabeledFrame]], cfg: EngineConfig,
         if not order:
             order = list(rng.permutation(len(windows)))
         si, start = windows[order.pop()]
-        frames = [inject_duplicate(sequences[si][start + k], rng, duplicate_prob)
-                  for k in range(3)]
+        frames = [inject_duplicate(sequences[si][start + k], rng) for k in range(3)]
         row = _train_window(model, opt, frames, cfg, it)
         if not np.isfinite(row.total):
             raise RuntimeError(

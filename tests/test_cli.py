@@ -210,7 +210,7 @@ def assert_one_error_line(err):
 
 def short_sequence(tmp_path, cfg_path, crops=False):
     seq = tmp_path / "seq.json"
-    run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "2",
+    run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "3",
          "--config", cfg_path, "--out", str(seq)] + ["--crops"] * crops)
     return seq
 
@@ -342,7 +342,29 @@ def _drop_crop(doc):
     del doc["frames"][1]["detections"][0]["crop"]
 
 
-CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop)
+def _short_appearance(doc):
+    det = doc["frames"][2]["detections"][1]
+    det["appearance"] = det["appearance"][:5]
+
+
+def _mixed_frame(doc):
+    # an appearance-only detection in a frame the backbone must embed
+    det = doc["frames"][2]["detections"][1]
+    del det["crop"]
+    det["appearance"] = [0.5] * SMALL_CFG["d"]
+
+
+CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop, _mixed_frame)
+# refused by check_detections, with the sequence path in front
+CONFIG_DAMAGES = (_short_crop, _small_heatmaps, _drop_crop, _short_appearance, _mixed_frame)
+
+
+def damaged_sequence(tmp_path, cfg_path, damage):
+    seq = short_sequence(tmp_path, cfg_path, crops=damage in CROP_DAMAGES)
+    doc = json.loads(seq.read_text())
+    damage(doc)
+    seq.write_text(json.dumps(doc))
+    return seq
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -358,17 +380,33 @@ CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop)
     (_small_heatmaps, "frame 1, detection 0: heatmaps are 8x8, "
                       "config expects crop_height x crop_width 64x32"),
     (_drop_crop, "frame 1, detection 0: has neither an appearance vector nor a crop"),
+    # both are refused at load, not when frame 2 runs
+    (_short_appearance, "frame 2, detection 1: appearance embedding has length 5, "
+                        "config expects d 16"),
+    (_mixed_frame, "frame 2, detection 1: has an appearance vector but no crop, "
+                   "while detection 0 has only a crop"),
 ])
 def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
-    seq = short_sequence(tmp_path, cfg_path, crops=damage in CROP_DAMAGES)
-    doc = json.loads(seq.read_text())
-    damage(doc)
-    seq.write_text(json.dumps(doc))
+    seq = damaged_sequence(tmp_path, cfg_path, damage)
     capsys.readouterr()
     assert run(["track", str(seq), "--config", cfg_path]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert_one_error_line(err)
     assert message in err
+    if damage in CONFIG_DAMAGES:
+        assert err.startswith(f"error: {seq}: {message}")
+
+
+def test_train_refuses_short_appearance_at_load(tmp_path, cfg_path, capsys):
+    seq = damaged_sequence(tmp_path, cfg_path, _short_appearance)
+    capsys.readouterr()
+    assert run(["train", str(seq), "--config", cfg_path, "--iters", "1",
+                "--out", str(tmp_path / "m.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"{seq}: frame 2, detection 1: appearance embedding has length 5" in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("bad_line, message", [

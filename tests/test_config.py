@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from dstrack.config import EngineConfig, default_kappas, validate_config
@@ -72,14 +70,6 @@ def test_tau_and_dims():
         validate_config(EngineConfig(tau_age=-1))
     with pytest.raises(ValueError, match="divisible by 8"):
         validate_config(EngineConfig(crop_height=62))
-
-
-def test_with_overrides_returns_new_config():
-    cfg = EngineConfig()
-    small = cfg.with_overrides(d=16, ffn_hidden=32)
-    assert small.d == 16
-    assert cfg.d == 256
-    assert dataclasses.is_dataclass(small)
 
 
 def test_d_e_follows_d_unless_set():

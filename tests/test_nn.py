@@ -505,13 +505,13 @@ def test_checkpoint_roundtrip(tmp_path):
     store.create("a", (3, 4), rng)
     store.create("b", (5,), rng)
     path = tmp_path / "weights.bin"
-    store.save(path)
+    nn.save_checkpoint(path, store.state_dict())
 
     fresh = nn.ParamStore()
     rng2 = np.random.default_rng(99)
     fresh.create("a", (3, 4), rng2)
     fresh.create("b", (5,), rng2)
-    fresh.load(path)
+    fresh.load_state(nn.load_checkpoint(path))
     for name in ("a", "b"):
         np.testing.assert_allclose(
             fresh[name].data, store[name].data.astype(np.float32), rtol=1e-7
@@ -529,11 +529,11 @@ def test_checkpoint_shape_mismatch(tmp_path):
     store = nn.ParamStore()
     store.create("a", (2, 2), np.random.default_rng(0))
     path = tmp_path / "w.bin"
-    store.save(path)
+    nn.save_checkpoint(path, store.state_dict())
     other = nn.ParamStore()
     other.create("a", (3, 3), np.random.default_rng(0))
     with pytest.raises(ValueError, match="shape mismatch"):
-        other.load(path)
+        other.load_state(nn.load_checkpoint(path))
 
 
 def test_zero_grad():

@@ -8,7 +8,6 @@ from dstrack.spapde import (
     appearance_embed_batch,
     init_backbone_params,
     init_spapde_params,
-    pool_heatmaps,
     render_heatmaps,
     spapde_forward,
     spapde_modulation,
@@ -98,13 +97,6 @@ def test_render_equals_per_keypoint_loop(seed):
             assert np.array_equal(got, render_heatmaps_loop(pose, 16, 8, width))
     hidden = Pose(coords=np.zeros((3, 2)), conf=np.zeros(3), visible=np.zeros(3, bool))
     assert np.array_equal(render_heatmaps(hidden, 16, 8, 2.0), np.zeros((3, 16, 8)))
-
-
-def test_pool_heatmaps_halves_resolution():
-    h = np.arange(32, dtype=np.float64).reshape(2, 4, 4)
-    p = pool_heatmaps(h)
-    assert p.shape == (2, 2, 2)
-    assert p[0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +231,10 @@ def test_embed_zero_everything_finite():
     assert np.isfinite(e.data).all()
 
 
-def test_embed_without_heatmaps_warns_and_works():
-    cfg = small_cfg()
-    store = build_backbone(cfg)
-    crop = np.random.default_rng(0).uniform(size=(1, 3, 16, 8))
-    with pytest.warns(UserWarning, match="plain normalization"):
-        e = appearance_embed_batch(crop, None, store, cfg)
-    assert np.isfinite(e.data).all()
-
-
 def test_embed_batch_shape_checks():
     cfg = small_cfg()
     store = build_backbone(cfg)
     with pytest.raises(ValueError, match="crop size"):
-        appearance_embed_batch(np.zeros((1, 3, 8, 8)), None, store, cfg)
+        appearance_embed_batch(np.zeros((1, 3, 8, 8)), np.zeros((1, 4, 8, 8)), store, cfg)
     with pytest.raises(ValueError, match=r"\(N, K, H, W\)"):
         appearance_embed_batch(np.zeros((1, 3, 16, 8)), np.zeros((1, 2, 16, 8)), store, cfg)

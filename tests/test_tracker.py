@@ -268,6 +268,9 @@ def test_step_rejects_wrong_embedding_width():
     det = make_detection(0, 0, rng, appearance=rng.standard_normal(5))
     with pytest.raises(ValueError, match="appearance embedding has length 5"):
         step(TrackerState(), [det], model)
+    det = make_detection(0, 0, rng, appearance=rng.standard_normal((1, 8)))
+    with pytest.raises(ValueError, match=r"appearance embedding has shape \(1, 8\)"):
+        step(TrackerState(), [det], model)
 
 
 def test_step_requires_appearance_or_backbone():
@@ -290,8 +293,8 @@ def test_step_names_the_detection_without_appearance_or_crop():
     pose = Pose(coords=rng.uniform(0, 20, (4, 2)), conf=np.ones(4), visible=np.ones(4, bool))
     dets = [Detection(box=Box(0, 0, 20, 40), pose=pose, crop=rng.uniform(size=(3, 16, 8))),
             Detection(box=Box(30, 0, 50, 40), pose=pose)]
-    with pytest.raises(RuntimeError, match="detection 1 has neither an appearance "
-                                           "embedding nor a crop"):
+    with pytest.raises(ValueError, match="detection 1: has neither an appearance "
+                                         "vector nor a crop"):
         step(TrackerState(), dets, model)
 
 
