@@ -9,6 +9,7 @@ failures exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -131,6 +132,16 @@ def _load_config(args) -> EngineConfig:
     return cfg
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    """Put the path of the input file being read in front of any
+    ValueError raised about it; an OSError names its file already."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
                 with_backbone: bool = False) -> TrackingModel:
     if weights is None:
@@ -139,10 +150,11 @@ def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
             from .spapde import init_backbone_params
             init_backbone_params(model.store, cfg, np.random.default_rng(seed))
         return model
-    state = nn.load_checkpoint(weights)
-    has_backbone = any(k.startswith("backbone.") for k in state)
-    model = TrackingModel(cfg, seed=seed, with_backbone=has_backbone)
-    model.store.load_state(state)
+    with _reading(weights):
+        state = nn.load_checkpoint(weights)
+        has_backbone = any(k.startswith("backbone.") for k in state)
+        model = TrackingModel(cfg, seed=seed, with_backbone=has_backbone)
+        model.store.load_state(state)
     return model
 
 
@@ -150,16 +162,17 @@ def _load_sequence(path: str, cfg: EngineConfig) -> SequenceFile:
     """load_sequence, refusing what the config cannot run before any frame
     does: poses whose keypoint count it does not describe (the OKS kappas
     come from the config), and any frame that check_detections refuses."""
-    seq = load_sequence(path)
-    count = seq.keypoint_count()
-    if count is not None and count != cfg.keypoint_count:
-        raise ValueError(f"{path}: poses have {count} keypoints, "
-                         f"config expects keypoint_count {cfg.keypoint_count}")
-    for fr in seq.frames:
-        try:
-            check_detections(fr.detections, cfg)
-        except ValueError as e:
-            raise ValueError(f"{path}: frame {fr.index}, {e}") from None
+    with _reading(path):
+        seq = load_sequence(path)
+        count = seq.keypoint_count()
+        if count is not None and count != cfg.keypoint_count:
+            raise ValueError(f"poses have {count} keypoints, "
+                             f"config expects keypoint_count {cfg.keypoint_count}")
+        for fr in seq.frames:
+            try:
+                check_detections(fr.detections, cfg)
+            except ValueError as e:
+                raise ValueError(f"frame {fr.index}, {e}") from None
     return seq
 
 
@@ -194,8 +207,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    results = read_results_jsonl(args.results)
-    gt = load_sequence(args.gt)
+    with _reading(args.results):
+        results = read_results_jsonl(args.results)
+    with _reading(args.gt):
+        gt = load_sequence(args.gt)
     report = evaluate(results, gt)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:

@@ -185,24 +185,3 @@ class Track:
         if self.frames_since_match < 0:
             raise ValueError("frames_since_match must be non-negative")
         object.__setattr__(self, "embedding", emb)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": int(self.id),
-            "embedding": [float(v) for v in self.embedding],
-            "last_pose": self.last_pose.to_dict(),
-            "last_box": self.last_box.to_dict(),
-            "frames_since_match": int(self.frames_since_match),
-            "active": bool(self.active),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Track":
-        return Track(
-            id=d["id"],
-            embedding=d["embedding"],
-            last_pose=Pose.from_dict(d["last_pose"]),
-            last_box=Box.from_dict(d["last_box"]),
-            frames_since_match=d["frames_since_match"],
-            active=d["active"],
-        )

@@ -49,17 +49,16 @@ def _frame_outputs(res: FrameResult) -> List[Tuple[int, int]]:
     return list(res.assignments) + list(res.new_tracks)
 
 
-def _match_frame(outputs, gt_indices, dets, threshold):
+def _match_frame(outputs, gt_indices, dets):
     """IoU-maximal one-to-one matching between output dets and gt dets."""
     if not outputs or not gt_indices:
         return []
     scores = iou_grid([dets[det_idx].box for det_idx, _ in outputs],
                       [dets[gt_idx].box for gt_idx in gt_indices])
-    return [(a, b) for a, b in hungarian(-scores) if scores[a, b] > threshold]
+    return [(a, b) for a, b in hungarian(-scores) if scores[a, b] > IOU_MATCH_THRESHOLD]
 
 
-def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile,
-             iou_threshold: float = IOU_MATCH_THRESHOLD) -> EvalReport:
+def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> EvalReport:
     if len(results) != len(gt.frames):
         raise ValueError("results and ground truth must cover the same frame count")
 
@@ -75,7 +74,7 @@ def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile,
         gt_indices = [i for i, ident in enumerate(frame.identities)
                       if ident is not None and i not in frame.duplicates]
         outputs = _frame_outputs(res)
-        pairs = _match_frame(outputs, gt_indices, frame.detections, iou_threshold)
+        pairs = _match_frame(outputs, gt_indices, frame.detections)
         total_gt += len(gt_indices)
         misses += len(gt_indices) - len(pairs)
         false_positives += len(outputs) - len(pairs)

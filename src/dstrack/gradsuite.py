@@ -28,20 +28,21 @@ class CheckOutcome:
     seed: int
     max_rel_error: float
 
-    def ok(self, tol: float = TOL) -> bool:
-        return self.max_rel_error <= tol
+    def ok(self) -> bool:
+        return self.max_rel_error <= TOL
 
 
 def _t(rng, *shape, scale=1.0, requires_grad=True):
     return nn.Tensor(scale * rng.standard_normal(shape), requires_grad=requires_grad)
 
 
-def _away_from(x, points, clearance=0.05, nudge=0.12):
-    """Move entries that sit too close to a non-differentiable point."""
+def _away_from(x, points):
+    """Move entries that sit within 0.05 of a non-differentiable point up
+    by 0.12."""
     x = x.copy()
     for p in points:
-        close = np.abs(x - p) < clearance
-        x[close] += nudge
+        close = np.abs(x - p) < 0.05
+        x[close] += 0.12
     return x
 
 
@@ -126,7 +127,7 @@ def _check_reduce_max(rng):
 
 def _check_reshape_transpose(rng):
     x = _t(rng, 2, 3, 4)
-    return lambda v: nn.transpose(nn.reshape(v, (6, 4)), (1, 0)), [x]
+    return lambda v: nn.transpose(nn.reshape(v, (6, 4))), [x]
 
 
 def _check_take(rng):
@@ -198,7 +199,7 @@ def _check_decoder_layer(rng):
              s["decoder.stage0.ln1.g"]]
 
     def run(et, oe, ed, *_params):
-        out_t, out_e, _ = model.decoder_layer(et, oe, ed, 0.3, stage=0)
+        out_t, out_e, _ = model.decoder_layer(et, oe, ed, stage=0)
         return nn.concat([nn.reshape(out_t, (12,)), nn.reshape(out_e, (6,))], axis=0)
     return run, [e_t, o_edge, e_d] + extra
 
@@ -210,7 +211,7 @@ def _check_matching_layer(rng):
     params = [s["match.wq"], s["match.wk"]]
 
     def run(et, ed, oe, *_params):
-        return model.matching_layer(et, ed, oe, alpha=0.3)
+        return model.matching_layer(et, ed, oe)
     return run, [e_t, e_d, o_edge] + params
 
 
@@ -233,7 +234,7 @@ def _check_forward_frame(rng):
         nn.Tensor(rng.uniform(0, 1, (2, 3, 4)), requires_grad=True), _t(rng, 3, 6)
 
     def run(et, edge, ed):
-        fwd = model.forward_frame(et, edge, ed, alpha=0.3)
+        fwd = model.forward_frame(et, edge, ed)
         return nn.concat([nn.reshape(fwd.match, (9,)),
                           nn.reshape(fwd.updated_tracks, (12,))], axis=0)
     return run, [e_t, raw_edge, e_d]
@@ -331,17 +332,17 @@ def run_suite(seeds: int = 5, base_seed: int = 0) -> List[CheckOutcome]:
     return outcomes
 
 
-def suite_passed(outcomes: List[CheckOutcome], tol: float = TOL) -> bool:
-    return all(o.ok(tol) for o in outcomes)
+def suite_passed(outcomes: List[CheckOutcome]) -> bool:
+    return all(o.ok() for o in outcomes)
 
 
-def format_outcomes(outcomes: List[CheckOutcome], tol: float = TOL) -> List[str]:
+def format_outcomes(outcomes: List[CheckOutcome]) -> List[str]:
     lines = []
     by_name = {}
     for o in outcomes:
         by_name.setdefault(o.name, []).append(o)
     for name, group in by_name.items():
         worst = max(o.max_rel_error for o in group)
-        status = "ok" if all(o.ok(tol) for o in group) else "FAIL"
+        status = "ok" if all(o.ok() for o in group) else "FAIL"
         lines.append(f"{name}: max_rel={worst:.3e} {status}")
     return lines

@@ -110,9 +110,9 @@ def _probe_features(rng, n):
     return np.concatenate([corners, interior, np.full((1, 4), 0.5)], axis=0)
 
 
-def _calibrate_edge_head(model: TrackingModel, rng, gain, floor):
+def _calibrate_edge_head(model: TrackingModel, rng):
     """Linearize both LN+GELU blocks, then least-squares fit the output
-    row so the edge logit is gain * (mean(f) - floor)."""
+    row so the edge logit is EDGE_GAIN * (mean(f) - EDGE_FLOOR)."""
     s = model.store
     d_e = model.cfg.d_e
     for block in ("1", "2"):
@@ -122,7 +122,7 @@ def _calibrate_edge_head(model: TrackingModel, rng, gain, floor):
 
     probes = _probe_features(rng, max(4 * d_e, 200))
     hidden = model.edge_head(probes).data                     # (N, d_e)
-    target = gain * (probes.mean(axis=1) - floor)
+    target = EDGE_GAIN * (probes.mean(axis=1) - EDGE_FLOOR)
     design = np.concatenate([hidden, np.ones((len(probes), 1))], axis=1)
     beta, *_ = np.linalg.lstsq(design, target, rcond=None)
 
@@ -131,9 +131,7 @@ def _calibrate_edge_head(model: TrackingModel, rng, gain, floor):
     return float(np.max(np.abs(design @ beta - target)))
 
 
-def build_heuristic_model(cfg: EngineConfig, seed: int = 0,
-                          gain: float = EDGE_GAIN,
-                          floor: float = EDGE_FLOOR) -> TrackingModel:
+def build_heuristic_model(cfg: EngineConfig, seed: int = 0) -> TrackingModel:
     """A TrackingModel whose behavior follows from geometry and appearance
     directly; `model.edge_fit_residual` records the calibration error."""
     model = TrackingModel(cfg, seed=seed)
@@ -143,7 +141,7 @@ def build_heuristic_model(cfg: EngineConfig, seed: int = 0,
     for n in range(cfg.n_encoder_stages):
         _passthrough_stage(s, f"encoder.stage{n}")
 
-    residual = _calibrate_edge_head(model, rng, gain, floor)
+    residual = _calibrate_edge_head(model, rng)
 
     for n in range(cfg.n_decoder_stages):
         p = f"decoder.stage{n}"

@@ -26,25 +26,17 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = tuple(parents)
-        self._backward = backward
+        self._backward = None
         if not requires_grad:
             for p in self._parents:
                 if p.requires_grad:
                     requires_grad = True
                     break
         self.requires_grad = requires_grad
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def accumulate(self, g):
         if self.grad is None:
@@ -67,34 +59,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # light operator sugar; heavy lifting lives in the module functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(other, mul(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take(self, key)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
@@ -360,14 +324,14 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x) -> Tensor:
+    """Reverse the axes; of a matrix, its transpose."""
     x = as_tensor(x)
-    out = Tensor(np.transpose(x.data, axes), parents=(x,))
-    inverse = None if axes is None else np.argsort(axes)
+    out = Tensor(np.transpose(x.data), parents=(x,))
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(np.transpose(g, inverse))
+            x.accumulate(np.transpose(g))
 
     out._backward = backward
     return out
@@ -447,39 +411,30 @@ def softmax_null(logits) -> Tensor:
     return out
 
 
-def layer_norm(x, gain=None, bias=None, eps=LN_EPS) -> Tensor:
-    """Normalize over the last dim to zero mean / unit variance, then affine."""
-    x = as_tensor(x)
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize over the last dim to zero mean / unit variance, then scale
+    by gain and shift by bias."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.data.shape[-1]
     if n < 2:
         raise ValueError("layer_norm needs at least 2 features in the last dim")
     # the operations np.mean and np.var run, with the input centred once
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    parents = [x]
-    gdata = None if gain is None else as_tensor(gain)
-    bdata = None if bias is None else as_tensor(bias)
-    y = xhat
-    if gdata is not None:
-        y = y * gdata.data
-        parents.append(gdata)
-    if bdata is not None:
-        y = y + bdata.data
-        parents.append(bdata)
-    out = Tensor(y, parents=tuple(parents))
+    out = Tensor(xhat * gain.data + bias.data, parents=(x, gain, bias))
 
     def backward(g):
-        gy = g if gdata is None else g * gdata.data
+        gy = g * gain.data
         if x.requires_grad:
             m1 = gy.sum(axis=-1, keepdims=True) / n
             m2 = (gy * xhat).sum(axis=-1, keepdims=True) / n
             x.accumulate(inv * (gy - m1 - xhat * m2))
-        if gdata is not None and gdata.requires_grad:
-            gdata.accumulate(_unbroadcast(g * xhat, gdata.data.shape))
-        if bdata is not None and bdata.requires_grad:
-            bdata.accumulate(_unbroadcast(g, bdata.data.shape))
+        if gain.requires_grad:
+            gain.accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias.accumulate(_unbroadcast(g, bias.data.shape))
 
     out._backward = backward
     return out
@@ -591,9 +546,7 @@ class ParamStore:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name: {name}")
         shape = tuple(shape)
-        if isinstance(init, np.ndarray):
-            data = np.asarray(init, dtype=np.float64).reshape(shape)
-        elif init == "fan_in":
+        if init == "fan_in":
             fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
             bound = 1.0 / np.sqrt(max(fan_in, 1))
             data = rng.uniform(-bound, bound, size=shape)
@@ -613,17 +566,8 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def __len__(self):
-        return len(self._tensors)
-
-    def names(self):
-        return list(self._tensors)
-
     def items(self):
         return self._tensors.items()
-
-    def tensors(self):
-        return list(self._tensors.values())
 
     def zero_grad(self):
         for t in self._tensors.values():
@@ -704,7 +648,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # gradient checking
 
-def grad_check(fn, inputs, h=1e-5, rng=None) -> float:
+def grad_check(fn, inputs, rng=None) -> float:
     """Max relative error between analytic gradients of fn(*inputs) and
     central differences.
 
@@ -727,6 +671,7 @@ def grad_check(fn, inputs, h=1e-5, rng=None) -> float:
         t.grad = None
     out.backward(probe_weights)
 
+    h = 1e-5  # central-difference step
     max_err = 0.0
     for t in inputs:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -107,6 +108,14 @@ def load_sequence(path: str) -> SequenceFile:
     if version != SCHEMA_VERSION:
         raise ValueError(f"unrecognized schema version {version}")
     _warn_unknown(doc, _KNOWN_TOP, "sequence header")
+    fps = doc.get("fps", 0.0)
+    try:
+        finite = (isinstance(fps, (int, float)) and not isinstance(fps, bool)
+                  and math.isfinite(fps))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"fps must be a finite number, got {fps!r}")
 
     frames: List[SequenceFrame] = []
     last_index = None
@@ -139,8 +148,11 @@ def load_sequence(path: str) -> SequenceFile:
                 kp_count = det.pose.keypoint_count
             elif det.pose.keypoint_count != kp_count:
                 raise ValueError("inconsistent keypoint count")
+            ident = dd.get("identity")
+            if ident is not None and (isinstance(ident, bool) or not isinstance(ident, int)):
+                raise ValueError(f"{where}: identity must be an integer or null, got {ident!r}")
             dets.append(det)
-            idents.append(dd.get("identity"))
+            idents.append(ident)
         size = fd.get("image_size", [0, 0])
         if not isinstance(size, list) or len(size) != 2:
             raise ValueError(f"frame {index}: image_size must be [height, width]")
@@ -156,7 +168,7 @@ def load_sequence(path: str) -> SequenceFile:
         ))
     return SequenceFile(
         sequence_id=str(doc.get("sequence_id", "")),
-        fps=float(doc.get("fps", 0.0)),
+        fps=float(fps),
         frames=frames,
     )
 

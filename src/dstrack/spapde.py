@@ -62,13 +62,13 @@ def spapde_forward(f, gamma, beta) -> nn.Tensor:
     if f.data.ndim != 4:
         raise ValueError("spapde_forward expects (N, C, H, W) features")
     mu = nn.reduce_mean(f, axis=(0, 2, 3), keepdims=True)
-    diff = f - mu
-    var = nn.reduce_mean(diff * diff, axis=(0, 2, 3), keepdims=True)
+    diff = nn.add(f, nn.mul(mu, -1.0))
+    var = nn.reduce_mean(nn.mul(diff, diff), axis=(0, 2, 3), keepdims=True)
     sigma = nn.sqrt(var)
     # additive guard only where sigma underflows; constant w.r.t. the tape
     bump = SIGMA_GUARD * (sigma.data < SIGMA_GUARD)
-    inv = nn.reciprocal(sigma + bump)
-    return nn.mul(gamma, diff * inv) + beta
+    inv = nn.reciprocal(nn.add(sigma, bump))
+    return nn.add(nn.mul(gamma, nn.mul(diff, inv)), beta)
 
 
 def init_backbone_params(store: nn.ParamStore, cfg: EngineConfig, rng: np.random.Generator):

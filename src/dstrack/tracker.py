@@ -172,8 +172,7 @@ def _age_and_close(tracks: Sequence[Track], tau_age: int):
     return survivors, closed
 
 
-def step(state: TrackerState, detections: Sequence[Detection],
-         model: TrackingModel, alpha: Optional[float] = None,
+def step(state: TrackerState, detections: Sequence[Detection], model: TrackingModel,
          ) -> Tuple[FrameResult, TrackerState, Optional[FrameForward]]:
     """Advance the tracker by one frame.
 
@@ -192,7 +191,7 @@ def step(state: TrackerState, detections: Sequence[Detection],
     e_d0 = _detection_embeddings(detections, model)
     raw = edge_features(tracks, detections, cfg)
     e_t_old = np.stack([t.embedding for t in tracks]) if tracks else np.zeros((0, cfg.d))
-    fwd = model.forward_frame(e_t_old, raw, e_d0, alpha)
+    fwd = model.forward_frame(e_t_old, raw, e_d0)
 
     matched, dup_idx, new_idx = assign_and_filter(fwd.match.data, cfg.tau_dup)
 
@@ -238,10 +237,9 @@ def step(state: TrackerState, detections: Sequence[Detection],
     return result, TrackerState(all_tracks, next_id), fwd
 
 
-def run_sequence(frames: Sequence[Sequence[Detection]], model: TrackingModel,
-                 alpha: Optional[float] = None):
+def run_sequence(frames: Sequence[Sequence[Detection]], model: TrackingModel):
     """Track a whole sequence; yields (frame index, FrameResult, state)."""
     state = TrackerState()
     for idx, dets in enumerate(frames):
-        result, state, _ = step(state, dets, model, alpha)
+        result, state, _ = step(state, dets, model)
         yield idx, result, state

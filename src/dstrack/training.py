@@ -27,6 +27,10 @@ TOY_WARMUP_ITERS = 10
 TOY_DECAY_AT = 150
 TOY_DECAY_FACTOR = 10
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 DUPLICATE_PROB = 0.3
 DUPLICATE_SCALE_JITTER = 0.05
 DUPLICATE_SHIFT_JITTER = 3.0
@@ -118,7 +122,7 @@ def total_loss(match_term: nn.Tensor, enc_terms: Sequence[nn.Tensor],
                dec_terms: Sequence[nn.Tensor]) -> nn.Tensor:
     out = match_term
     for t in list(enc_terms) + list(dec_terms):
-        out = out + t
+        out = nn.add(out, t)
     return out
 
 
@@ -145,11 +149,9 @@ class AdamW:
     """Decoupled-weight-decay adaptive-moments optimizer."""
 
     def __init__(self, store: nn.ParamStore, schedule: LrSchedule,
-                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.01):
+                 weight_decay: float = 0.01):
         self.store = store
         self.schedule = schedule
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {k: np.zeros_like(t.data) for k, t in store.items()}
@@ -168,11 +170,11 @@ class AdamW:
         data = np.concatenate([param.data.ravel() for _, param in live])
         m = np.concatenate([self._m[name].ravel() for name, _ in live])
         v = np.concatenate([self._v[name].ravel() for name, _ in live])
-        m = self.beta1 * m + (1 - self.beta1) * g
-        v = self.beta2 * v + (1 - self.beta2) * g * g
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        data = data - lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * data)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        data = data - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * data)
         offset = 0
         for name, param in live:
             shape, end = param.data.shape, offset + param.data.size
@@ -281,11 +283,9 @@ def labeled_frames(seq) -> List[LabeledFrame]:
             for fr in seq.frames]
 
 
-def subsequences(n_frames: int, length: int = 3, overlap: int = 1):
-    """Start indices of length-3 windows overlapping by one frame."""
-    step = length - overlap
-    starts = list(range(0, max(n_frames - length + 1, 1), step))
-    return [s for s in starts if s + length <= n_frames] or ([0] if n_frames >= length else [])
+def subsequences(n_frames: int):
+    """Start indices of 3-frame windows overlapping by one frame."""
+    return list(range(0, n_frames - 2, 2))
 
 
 def train_toy(sequences: Sequence[Sequence[LabeledFrame]], cfg: EngineConfig,
@@ -336,7 +336,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
     e_d0 = _detection_matrix(frames[0], cfg)
     enc_out, enc_attn = model.encoder_forward(e_d0)
     for k in range(n_enc):
-        enc_acc[k] = enc_acc[k] + loss_attn(enc_attn[k], _encoder_groups(labels0))
+        enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], _encoder_groups(labels0)))
 
     # teacher-forced initial tracks: one per identity, embedding from the
     # new-track head on the canonical detection's encoded feature
@@ -357,13 +357,13 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
         e_d = _detection_matrix(frame, cfg)
         fwd = model.forward_frame(e_t, raw, e_d)
 
-        match_acc = match_acc + loss_match(fwd.match, labels.det_identity, track_ids)
+        match_acc = nn.add(match_acc, loss_match(fwd.match, labels.det_identity, track_ids))
         groups = labels.groups()
         track_groups = [groups.get(ident, []) for ident in track_ids]
         for k in range(n_dec):
-            dec_acc[k] = dec_acc[k] + loss_attn(fwd.bundles[k].fused, track_groups)
+            dec_acc[k] = nn.add(dec_acc[k], loss_attn(fwd.bundles[k].fused, track_groups))
         for k in range(n_enc):
-            enc_acc[k] = enc_acc[k] + loss_attn(fwd.enc_attn[k], _encoder_groups(labels))
+            enc_acc[k] = nn.add(enc_acc[k], loss_attn(fwd.enc_attn[k], _encoder_groups(labels)))
 
         # teacher-forced state advance
         e_t, track_ids, teacher = _advance_state(model, fwd, frame, labels,

@@ -18,7 +18,7 @@ bias-free; feed-forward blocks and heads carry biases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -197,10 +197,10 @@ class TrackingModel:
             x = self._ln(nn.add(x, self._ffn(x, f"{p}.ffn")), f"{p}.ln2")
         return x, attn
 
-    def decoder_layer(self, e_t, o_edge, e_d, alpha: float, stage: int):
+    def decoder_layer(self, e_t, o_edge, e_d, stage: int):
         """One decoder stage: returns (new e_t, new o_edge, bundle); the new
         T x D logits are the edge refresh read by the next stage."""
-        s = self.store
+        s, alpha = self.store, self.cfg.alpha
         p = f"decoder.stage{stage}"
         delta, bundle = dual_source_attention(
             e_t, e_d, o_edge, alpha, s[f"{p}.wq"], s[f"{p}.wk"], s[f"{p}.wa"])
@@ -216,10 +216,10 @@ class TrackingModel:
         new_edge = self._ffn(scalar, f"{p}.ffn_e")
         return x, nn.reshape(new_edge, (t_count, d_count)), bundle
 
-    def decoder_forward(self, e_t, o_edge, e_d, alpha: float):
+    def decoder_forward(self, e_t, o_edge, e_d):
         bundles = []
         for stage in range(self.cfg.n_decoder_stages):
-            e_t, o_edge, bundle = self.decoder_layer(e_t, o_edge, e_d, alpha, stage)
+            e_t, o_edge, bundle = self.decoder_layer(e_t, o_edge, e_d, stage)
             bundles.append(bundle)
         return e_t, o_edge, bundles
 
@@ -258,16 +258,16 @@ class TrackingModel:
         blended = nn.add(nn.mul(keep, e_t_old), nn.mul(gate, e_t_head))
         return blended, gate.data[:, 0].copy()
 
-    def matching_layer(self, e_t, e_d, o_edge, alpha: float) -> nn.Tensor:
+    def matching_layer(self, e_t, e_d, o_edge) -> nn.Tensor:
         """Detection-major assignment probabilities, D x (T+1); the last
         column is the no-track probability.  o_edge: T x D geometry logits.
         No linear layer after the gate."""
         s = self.store
         o_appear = attention_logits(e_d, e_t, s["match.wq"], s["match.wk"])  # D x T
         o_edge = nn.transpose(o_edge)                            # D x T
-        return fuse(alpha, nn.softmax_null(o_appear), nn.softmax_null(o_edge))
+        return fuse(self.cfg.alpha, nn.softmax_null(o_appear), nn.softmax_null(o_edge))
 
-    def forward_frame(self, e_t_old, raw_edge, e_d0, alpha: Optional[float] = None) -> FrameForward:
+    def forward_frame(self, e_t_old, raw_edge, e_d0) -> FrameForward:
         """Full per-frame pass, from raw detection embeddings and geometry
         features to the assignment matrix.
 
@@ -275,17 +275,16 @@ class TrackingModel:
         raw_edge: T x D x 4 geometry features; e_d0: D x d detection
         appearance embeddings.
         """
-        alpha = self.cfg.alpha if alpha is None else alpha
         e_t_old = nn.as_tensor(e_t_old)
         enc_out, enc_attn = self.encoder_forward(e_d0)
         s = self.store
         raw_edge = nn.as_tensor(raw_edge)
         o_edge = nn.linear(self.edge_head(raw_edge), s["edge_head.w3"], s["edge_head.b3"])
         o_edge = nn.reshape(o_edge, raw_edge.data.shape[:-1])
-        dec_out, o_edge, bundles = self.decoder_forward(e_t_old, o_edge, enc_out, alpha)
+        dec_out, o_edge, bundles = self.decoder_forward(e_t_old, o_edge, enc_out)
         head_out = self.track_head(dec_out)
         updated, gate = self.confidence_update(bundles, e_t_old, head_out)
-        match = self.matching_layer(updated, enc_out, o_edge, alpha)
+        match = self.matching_layer(updated, enc_out, o_edge)
         return FrameForward(
             enc_out=enc_out, enc_attn=enc_attn, bundles=bundles, head_out=head_out,
             updated_tracks=updated, update_gate=gate, match=match,

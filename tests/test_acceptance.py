@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dstrack import nn
-from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose, Track
 from dstrack.evaluate import evaluate
 from dstrack.geometry import edge_features
@@ -21,9 +20,8 @@ from dstrack.synth import synth_sequence
 from dstrack.tracker import hungarian, run_sequence, step, TrackerState
 from dstrack.training import labeled_frames, loss_attn, train_toy
 from dstrack.transformer import dual_source_attention, TrackingModel
+from small_config import SMALL
 
-SMALL = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
-                     ffn_hidden=32)
 assert dataclasses.replace(SMALL, edge_update_mode="features") == SMALL
 
 
@@ -31,9 +29,8 @@ def _line(n, label, ok, detail):
     print(f"criterion {n} {label}: {detail}: {'PASS' if ok else 'FAIL'}")
 
 
-def track_seq(seq, model, alpha=None):
-    return [(i, r) for i, r, _ in
-            run_sequence(seq.detection_frames(), model, alpha)]
+def track_seq(seq, model):
+    return [(i, r) for i, r, _ in run_sequence(seq.detection_frames(), model)]
 
 
 def crowd(seed, separation=6.0, noise=0.3):
@@ -73,20 +70,24 @@ def test_criterion_2_gate_endpoints_and_loss_constant():
 
     # model level: every decoder stage of a full frame pass
     cfg = dataclasses.replace(SMALL, d=8, d_e=8, ffn_hidden=16)
-    model = TrackingModel(cfg, seed=1)
     rng = np.random.default_rng(42)
     e_t = rng.standard_normal((3, cfg.d))
     raw = rng.uniform(size=(3, 4, 4))
     e_d = rng.standard_normal((4, cfg.d))
-    fwd1 = model.forward_frame(e_t, raw, e_d, alpha=1.0)
-    fwd0 = model.forward_frame(e_t, raw, e_d, alpha=0.0)
+
+    def forward_at(alpha):
+        # the weights do not depend on alpha, only the blend does
+        model = TrackingModel(dataclasses.replace(cfg, alpha=alpha), seed=1)
+        return model.forward_frame(e_t, raw, e_d)
+    fwd1 = forward_at(1.0)
+    fwd0 = forward_at(0.0)
     appear_exact = all((b.fused.data == b.s_appear.data).all()
                        for b in fwd1.bundles)
     edge_exact = all((b.fused.data == b.s_edge.data).all()
                      for b in fwd0.bundles)
 
     # row-stochastic with the null column, at an interior alpha
-    fwd = model.forward_frame(e_t, raw, e_d, alpha=0.3)
+    fwd = forward_at(0.3)
     rows = [b.fused.data for b in fwd.bundles] + [fwd.match.data]
     rows += [a.data for a in fwd.enc_attn]
     sum_err = max(float(np.abs(r.sum(axis=1) - 1.0).max()) for r in rows)
@@ -194,14 +195,19 @@ def test_criterion_3_infrastructure_oracles():
 
 def test_criterion_4_tracking_scenarios():
     model = build_heuristic_model(SMALL, seed=0)
+    assert SMALL.alpha == 0.3
     times, parts = [], []
+
+    def model_at(alpha):
+        # build_heuristic_model does not read alpha: same weights, other blend
+        return build_heuristic_model(dataclasses.replace(SMALL, alpha=alpha), seed=0)
 
     # occlusion: appearance carries identity across the gap, geometry alone
     # spawns a replacement track
     t0 = time.perf_counter()
     occ = synth_sequence("occlusion", seed=0, cfg=SMALL)
-    rep = evaluate(track_seq(occ, model, alpha=0.3), occ)
-    res0 = track_seq(occ, model, alpha=0.0)
+    rep = evaluate(track_seq(occ, model), occ)
+    res0 = track_seq(occ, model_at(0.0))
     born_geo = sum(len(r.new_tracks) for _, r in res0)
     times.append(time.perf_counter() - t0)
     parts.append(rep.id_switches == 0 and born_geo >= 3)
@@ -210,9 +216,9 @@ def test_criterion_4_tracking_scenarios():
     # overlapping clusters does not
     t0 = time.perf_counter()
     cross = synth_sequence("crossing", seed=0, cfg=SMALL)
-    rep_blend = evaluate(track_seq(cross, model, alpha=0.3), cross)
+    rep_blend = evaluate(track_seq(cross, model), cross)
     cross_flat = synth_sequence("crossing", seed=0, cfg=SMALL, separation=0.0)
-    rep_app = evaluate(track_seq(cross_flat, model, alpha=1.0), cross_flat)
+    rep_app = evaluate(track_seq(cross_flat, model_at(1.0)), cross_flat)
     times.append(time.perf_counter() - t0)
     parts.append(rep_blend.id_switches == 0 and rep_app.id_switches >= 1)
 

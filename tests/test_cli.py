@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -11,17 +12,11 @@ import pytest
 import dstrack
 from dstrack import nn
 from dstrack.cli import main
-from dstrack.config import EngineConfig
 from dstrack.sequence_io import load_sequence
 from dstrack.transformer import TrackingModel
+from small_config import SMALL
 
-SMALL_CFG = {
-    "d": 16,
-    "d_e": 16,
-    "keypoint_count": 8,
-    "oks_kappas": [0.08] * 8,
-    "ffn_hidden": 32,
-}
+SMALL_CFG = dataclasses.asdict(SMALL)
 
 
 @pytest.fixture
@@ -133,6 +128,30 @@ def test_missing_input_is_runtime_error(tmp_path, cfg_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def tracks_opened(results_path):
+    return sum(len(json.loads(line)["new_tracks"])
+               for line in results_path.read_text().splitlines())
+
+
+def test_alpha_flag_reaches_the_blend(tmp_path, cfg_path, capsys):
+    # occlusion: at the default alpha appearance carries both identities
+    # across the gap; geometry alone (alpha 0) opens a replacement track
+    assert SMALL_CFG["alpha"] == 0.3
+    seq = tmp_path / "occ.json"
+    assert run(["synth", "--scenario", "occlusion", "--seed", "0",
+                "--config", cfg_path, "--out", str(seq)]) == 0
+    blend, geometry = tmp_path / "blend.jsonl", tmp_path / "geometry.jsonl"
+    report = tmp_path / "report.json"
+    assert run(["track", str(seq), "--config", cfg_path, "--out", str(blend)]) == 0
+    assert run(["track", str(seq), "--config", cfg_path, "--alpha", "0.0",
+                "--out", str(geometry)]) == 0
+    assert run(["eval", str(blend), str(seq), "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert tracks_opened(blend) == 2
+    assert json.loads(report.read_text())["id_switches"] == 0
+    assert tracks_opened(geometry) >= 3
+
+
 def test_train_writes_checkpoint_and_curve(tmp_path, cfg_path, capsys):
     seq = tmp_path / "crowd.json"
     run(["synth", "--scenario", "crowd", "--seed", "0",
@@ -236,8 +255,9 @@ def _header_with_entry(entry):
     _header_with_entry({"name": "w"}),
     _header_with_entry({"shape": [3]}),
     _header_with_entry(["w", [3]]),
+    lambda full: b"not a checkpoint at all",
 ], ids=["cut_after_magic", "cut_inside_header", "header_without_tensors",
-        "entry_without_shape", "entry_without_name", "entry_not_object"])
+        "entry_without_shape", "entry_without_name", "entry_not_object", "garbage"])
 def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage):
     seq = short_sequence(tmp_path, cfg_path)
     good = tmp_path / "good.ckpt"
@@ -246,15 +266,16 @@ def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage)
     bad.write_bytes(damage(good.read_bytes()))
     capsys.readouterr()
     assert run(["track", str(seq), "--config", cfg_path, "--weights", str(bad)]) == 1
-    assert_one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {bad}: ")
 
 
 def test_checkpoint_with_unexpected_tensor_is_runtime_error(tmp_path, cfg_path, capsys):
     # every model tensor present plus one the model does not have, as in a
     # checkpoint written by a model with parameters since removed
     seq = short_sequence(tmp_path, cfg_path)
-    cfg = EngineConfig(**dict(SMALL_CFG, oks_kappas=tuple(SMALL_CFG["oks_kappas"])))
-    state = TrackingModel(cfg).store.state_dict()
+    state = TrackingModel(SMALL).store.state_dict()
     state["stray.w"] = np.zeros(3)
     ckpt = tmp_path / "extra.ckpt"
     nn.save_checkpoint(str(ckpt), state)
@@ -262,6 +283,7 @@ def test_checkpoint_with_unexpected_tensor_is_runtime_error(tmp_path, cfg_path, 
     assert run(["track", str(seq), "--config", cfg_path, "--weights", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert_one_error_line(err)
+    assert err.startswith(f"error: {ckpt}: ")
     assert "stray.w" in err
 
 
@@ -270,10 +292,9 @@ def test_checkpoint_with_ffn_hidden_wide_edge_refresh_is_runtime_error(tmp_path,
     # a checkpoint whose decoder edge refresh is ffn_hidden wide, as written
     # before d_e became the refresh width, is refused with no conversion
     seq = short_sequence(tmp_path, cfg_path)
-    cfg = EngineConfig(**dict(SMALL_CFG, oks_kappas=tuple(SMALL_CFG["oks_kappas"])))
-    state = TrackingModel(cfg).store.state_dict()
-    hidden = cfg.ffn_hidden
-    for n in range(cfg.n_decoder_stages):
+    state = TrackingModel(SMALL).store.state_dict()
+    hidden = SMALL.ffn_hidden
+    for n in range(SMALL.n_decoder_stages):
         p = f"decoder.stage{n}.ffn_e"
         state[f"{p}.w1"] = np.zeros((hidden, 1))
         state[f"{p}.b1"] = np.zeros(hidden)
@@ -284,6 +305,7 @@ def test_checkpoint_with_ffn_hidden_wide_edge_refresh_is_runtime_error(tmp_path,
     assert run(["track", str(seq), "--config", cfg_path, "--weights", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert_one_error_line(err)
+    assert err.startswith(f"error: {ckpt}: ")
     assert "decoder.stage0.ffn_e.w1" in err
 
 
@@ -302,7 +324,8 @@ def test_keypoint_count_mismatch_is_runtime_error(tmp_path, cfg_path, capsys, co
     assert run(argv[command] + ["--config", str(other)]) == 1
     err = capsys.readouterr().err
     assert_one_error_line(err)
-    assert "poses have 8 keypoints, config expects keypoint_count 4" in err
+    assert err.startswith(f"error: {seq}: poses have 8 keypoints, "
+                          "config expects keypoint_count 4")
 
 
 def _drop_box(doc):
@@ -354,9 +377,15 @@ def _mixed_frame(doc):
     det["appearance"] = [0.5] * SMALL_CFG["d"]
 
 
+def _list_identity(doc):
+    doc["frames"][1]["detections"][0]["identity"] = [1]
+
+
+def _list_fps(doc):
+    doc["fps"] = [30]
+
+
 CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop, _mixed_frame)
-# refused by check_detections, with the sequence path in front
-CONFIG_DAMAGES = (_short_crop, _small_heatmaps, _drop_crop, _short_appearance, _mixed_frame)
 
 
 def damaged_sequence(tmp_path, cfg_path, damage):
@@ -385,6 +414,9 @@ def damaged_sequence(tmp_path, cfg_path, damage):
                         "config expects d 16"),
     (_mixed_frame, "frame 2, detection 1: has an appearance vector but no crop, "
                    "while detection 0 has only a crop"),
+    # train and eval would hash the identity; track would not read it
+    (_list_identity, "frame 1, detection 0: identity must be an integer or null, got [1]"),
+    (_list_fps, "fps must be a finite number, got [30]"),
 ])
 def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
     seq = damaged_sequence(tmp_path, cfg_path, damage)
@@ -393,9 +425,39 @@ def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage,
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_error_line(err)
-    assert message in err
-    if damage in CONFIG_DAMAGES:
-        assert err.startswith(f"error: {seq}: {message}")
+    assert err.startswith(f"error: {seq}: {message}")
+
+
+@pytest.mark.parametrize("damage", [_list_identity, _list_fps])
+def test_train_and_eval_refuse_malformed_labels_at_load(tmp_path, cfg_path, capsys, damage):
+    seq = short_sequence(tmp_path, cfg_path)
+    res = tmp_path / "res.jsonl"
+    assert run(["track", str(seq), "--config", cfg_path, "--out", str(res)]) == 0
+    doc = json.loads(seq.read_text())
+    damage(doc)
+    seq.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["train", str(seq), "--config", cfg_path, "--iters", "1",
+                  "--out", str(tmp_path / "m.ckpt")],
+                 ["eval", str(res), str(seq)]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {seq}: ")
+
+
+def test_train_names_the_broken_file_of_several(tmp_path, cfg_path, capsys):
+    good = short_sequence(tmp_path, cfg_path)
+    doc = json.loads(good.read_text())
+    _drop_box(doc)
+    broken = tmp_path / "b.json"
+    broken.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["train", str(good), str(broken), "--config", cfg_path, "--iters", "1",
+                "--out", str(tmp_path / "m.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {broken}: frame 1, detection 2: missing field 'box'")
 
 
 def test_train_refuses_short_appearance_at_load(tmp_path, cfg_path, capsys):
@@ -424,7 +486,7 @@ def test_malformed_results_is_runtime_error(tmp_path, cfg_path, capsys, bad_line
     assert run(["eval", str(res), str(seq)]) == 1
     err = capsys.readouterr().err
     assert_one_error_line(err)
-    assert message in err
+    assert err.startswith(f"error: {res}: {message}")
 
 
 def test_config_not_object_is_usage_error(tmp_path, capsys):

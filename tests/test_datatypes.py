@@ -132,25 +132,6 @@ def test_detection_json_roundtrip_bit_identical(seed):
     assert (back.heatmaps == det.heatmaps).all()
 
 
-def test_track_json_roundtrip_bit_identical():
-    rng = np.random.default_rng(1)
-    t = Track(
-        id=42,
-        embedding=rng.standard_normal(16),
-        last_pose=make_pose(seed=1),
-        last_box=Box(0.1, 0.2, 30.7, 44.9),
-        frames_since_match=5,
-        active=False,
-    )
-    back = Track.from_dict(json.loads(json.dumps(t.to_dict())))
-    assert back.id == t.id
-    assert (back.embedding == t.embedding).all()
-    assert back.last_box == t.last_box
-    assert (back.last_pose.coords == t.last_pose.coords).all()
-    assert back.frames_since_match == 5
-    assert back.active is False
-
-
 def test_optional_fields_survive_roundtrip_absence():
     det = Detection(box=Box(0, 0, 1, 1), pose=make_pose(k=2))
     back = Detection.from_dict(json.loads(json.dumps(det.to_dict())))

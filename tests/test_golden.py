@@ -16,14 +16,12 @@ from dstrack.sequence_io import result_to_dict
 from dstrack.synth import SCENARIOS, synth_sequence
 from dstrack.tracker import run_sequence
 from dstrack.training import labeled_frames, train_toy
+from small_config import SMALL
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden_tracks.jsonl")
 GOLDEN_LOSS = os.path.join(DATA, "golden_loss.json")
 
-# the acceptance suite's small config
-SMALL = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
-                     ffn_hidden=32)
 LOSS_ITERS = 20
 
 

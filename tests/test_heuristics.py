@@ -1,22 +1,30 @@
 """Hand-constructed weights behave as advertised."""
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 from dstrack import nn
-from dstrack.config import EngineConfig
 from dstrack.heuristics import build_heuristic_model
 from dstrack.tracker import TrackerState, step
-
-CFG = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
-                   ffn_hidden=32)
+from small_config import SMALL as CFG
 
 
 @pytest.fixture(scope="module")
 def model():
+    assert CFG.alpha == 0.3
     return build_heuristic_model(CFG)
 
 
-def final_edge_logit(model, features, alpha):
+@functools.lru_cache(maxsize=None)
+def model_at(alpha):
+    """The heuristic model with the blend set to alpha; its weights do not
+    depend on alpha."""
+    return build_heuristic_model(dataclasses.replace(CFG, alpha=alpha))
+
+
+def final_edge_logit(model, features):
     """The geometry logit the matching layer reads for each raw feature row,
     along the real path: edge head, then every decoder stage, for one track
     against one detection per row.  Zero track and detection embeddings
@@ -26,7 +34,7 @@ def final_edge_logit(model, features, alpha):
     o_edge = nn.linear(model.edge_head(f[None]), s["edge_head.w3"], s["edge_head.b3"])
     o_edge = nn.reshape(o_edge, (1, len(f)))
     _, o_edge, _ = model.decoder_forward(np.zeros((1, CFG.d)), o_edge,
-                                         np.zeros((len(f), CFG.d)), alpha)
+                                         np.zeros((len(f), CFG.d)))
     return o_edge.data[0]
 
 
@@ -38,7 +46,7 @@ def test_edge_logit_monotone_in_mean_feature(model):
     s = np.linspace(0.0, 1.0, 21)
     feats = np.column_stack([s, s, s, s])
     for alpha in (0.0, 0.3, 0.7):
-        logits = final_edge_logit(model, feats, alpha)
+        logits = final_edge_logit(model_at(alpha), feats)
         assert np.all(np.diff(logits) > 0)
 
 
@@ -47,15 +55,15 @@ def test_edge_logit_monotone_per_feature(model):
     for j in range(4):
         lo, hi = base.copy(), base.copy()
         lo[j], hi[j] = 0.1, 0.9
-        l_lo = final_edge_logit(model, lo[None], 0.3)[0]
-        l_hi = final_edge_logit(model, hi[None], 0.3)[0]
+        l_lo = final_edge_logit(model, lo[None])[0]
+        l_hi = final_edge_logit(model, hi[None])[0]
         assert l_hi > l_lo
 
 
 def test_edge_logit_sign_convention(model):
     # zero similarity sits below the null logit, strong similarity far above
-    z = final_edge_logit(model, np.zeros((1, 4)), 0.0)[0]
-    s = final_edge_logit(model, np.full((1, 4), 0.9), 0.0)[0]
+    z = final_edge_logit(model_at(0.0), np.zeros((1, 4)))[0]
+    s = final_edge_logit(model_at(0.0), np.full((1, 4), 0.9))[0]
     assert z < 0.0 < s
     assert s > 3.0
 
@@ -84,7 +92,7 @@ def test_confidence_gate_stays_shut(model):
     e_t = rng.standard_normal((3, CFG.d))
     e_d = rng.standard_normal((2, CFG.d))
     edge = rng.uniform(0, 1, size=(3, 2, 4))
-    fwd = model.forward_frame(e_t, edge, e_d, alpha=0.3)
+    fwd = model.forward_frame(e_t, edge, e_d)
     assert np.all(fwd.update_gate < 1e-6)
     np.testing.assert_allclose(fwd.updated_tracks.data, e_t, atol=1e-6)
 
@@ -101,7 +109,7 @@ def test_matching_prefers_same_appearance_cluster(model):
     dets = np.stack([c1 + 0.3 * rng.standard_normal(CFG.d),
                      c0 + 0.3 * rng.standard_normal(CFG.d)])
     edge = np.zeros((2, 2, 4))  # geometry mute: stale everywhere
-    fwd = model.forward_frame(tracks, edge, dets, alpha=1.0)
+    fwd = model_at(1.0).forward_frame(tracks, edge, dets)
     m = fwd.match.data
     assert m[0, 1] > 0.95  # det 0 is cluster 1
     assert m[1, 0] > 0.95

@@ -106,8 +106,8 @@ def test_modulation_zero_weights_gives_zero():
     store = nn.ParamStore()
     rng = np.random.default_rng(0)
     init_spapde_params(store, "m", in_channels=4, feat_channels=3, rng=rng)
-    for name in store.names():
-        store[name].data = np.zeros_like(store[name].data)
+    for _, p in store.items():
+        p.data = np.zeros_like(p.data)
     gamma, beta = spapde_modulation(np.random.default_rng(1).uniform(size=(4, 6, 6)), store, "m")
     assert (gamma.data == 0).all() and (beta.data == 0).all()
 
@@ -184,7 +184,7 @@ def test_gradcheck_modulation_then_forward():
         gamma, beta = spapde_modulation(h_in, store, "m")
         return spapde_forward(f_in, gamma, beta)
 
-    inputs = [f, h] + store.tensors()
+    inputs = [f, h] + [p for _, p in store.items()]
     err = nn.grad_check(run, inputs, rng=np.random.default_rng(7))
     assert err <= 1e-4, err
 
@@ -205,10 +205,10 @@ def test_embed_deterministic():
     crop = rng.uniform(size=(3, 16, 8))
     pose = pose_in_crop([[2, 3], [5, 8], [1, 12], [6, 6]])
     hm = render_heatmaps(pose, 16, 8, kernel_width=2.0)
-    e1 = appearance_embed_batch(crop[None], hm[None], store, cfg)[0]
-    e2 = appearance_embed_batch(crop[None], hm[None], store, cfg)[0]
-    np.testing.assert_array_equal(e1.data, e2.data)
-    assert e1.data.shape == (8,)
+    e1 = appearance_embed_batch(crop[None], hm[None], store, cfg).data[0]
+    e2 = appearance_embed_batch(crop[None], hm[None], store, cfg).data[0]
+    np.testing.assert_array_equal(e1, e2)
+    assert e1.shape == (8,)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -219,16 +219,16 @@ def test_embed_sensitive_to_pose(seed):
     crop = rng.uniform(size=(3, 16, 8))
     h1 = render_heatmaps(pose_in_crop([[1, 1], [2, 2], [1, 3], [3, 1]]), 16, 8, 2.0)
     h2 = render_heatmaps(pose_in_crop([[6, 14], [5, 12], [7, 10], [4, 13]]), 16, 8, 2.0)
-    e1 = appearance_embed_batch(crop[None], h1[None], store, cfg)[0].data
-    e2 = appearance_embed_batch(crop[None], h2[None], store, cfg)[0].data
+    e1 = appearance_embed_batch(crop[None], h1[None], store, cfg).data[0]
+    e2 = appearance_embed_batch(crop[None], h2[None], store, cfg).data[0]
     assert np.linalg.norm(e1 - e2) > 1e-6
 
 
 def test_embed_zero_everything_finite():
     cfg = small_cfg()
     store = build_backbone(cfg)
-    e = appearance_embed_batch(np.zeros((1, 3, 16, 8)), np.zeros((1, 4, 16, 8)), store, cfg)[0]
-    assert np.isfinite(e.data).all()
+    e = appearance_embed_batch(np.zeros((1, 3, 16, 8)), np.zeros((1, 4, 16, 8)), store, cfg)
+    assert np.isfinite(e.data[0]).all()
 
 
 def test_embed_batch_shape_checks():

@@ -11,9 +11,7 @@ from dstrack.synth import (
     occlusion_window,
     synth_sequence,
 )
-
-CFG = EngineConfig(d=16, d_e=16, keypoint_count=8,
-                   oks_kappas=(0.08,) * 8, ffn_hidden=32)
+from small_config import SMALL as CFG
 
 
 def test_unknown_scenario():

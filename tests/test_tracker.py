@@ -21,6 +21,7 @@ from dstrack.tracker import (
     step,
 )
 from dstrack.transformer import TrackingModel
+from small_config import SMALL
 
 
 def brute_force_assignment(cost: np.ndarray):
@@ -315,11 +316,6 @@ def test_step_with_backbone_crops():
 
 # ---------------------------------------------------------------------------
 # detection-order equivariance of a whole step()
-
-# the acceptance suite's small config
-SMALL = EngineConfig(d=16, d_e=16, keypoint_count=8, oks_kappas=(0.08,) * 8,
-                     ffn_hidden=32)
-
 
 @functools.lru_cache(maxsize=None)
 def small_heuristic_model():

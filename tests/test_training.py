@@ -246,7 +246,8 @@ def test_adamw_descends_quadratic():
                 weight_decay=0.0)
     for _ in range(150):
         store.zero_grad()
-        loss = nn.reduce_sum(nn.mul(w - 2.0, w - 2.0))
+        diff = nn.add(w, -2.0)
+        loss = nn.reduce_sum(nn.mul(diff, diff))
         loss.backward()
         opt.step()
     np.testing.assert_allclose(w.data, np.full(4, 2.0), atol=0.05)

@@ -127,7 +127,7 @@ def test_every_edge_output_layer_is_one_row(n_stages):
     # is the width of the whole edge path
     m = model(n_decoder_stages=n_stages, d_e=4, ffn_hidden=16)
     s = m.store
-    assert not [name for name in s.names() if name.endswith(".we")]
+    assert not [name for name, _ in s.items() if name.endswith(".we")]
     assert s["edge_head.w3"].data.shape == (1, 4)
     assert s["edge_head.b3"].data.shape == (1,)
     for n in range(n_stages):
@@ -204,7 +204,7 @@ def test_decoder_layer_zero_weights_degenerate_residual():
     e_t = rnd((2, 8), seed=8)
     o_edge = rnd((2, 3), seed=9)
     e_d = rnd((3, 8), seed=10)
-    out, _, _ = m.decoder_forward(e_t, o_edge, e_d, 0.3)
+    out, _, _ = m.decoder_forward(e_t, o_edge, e_d)
 
     def ln(v):
         mu = v.mean(axis=-1, keepdims=True)
@@ -224,7 +224,7 @@ def test_edge_refresh_shared_ffn_e():
     e_t = np.zeros((2, 8))
     o_edge = np.zeros((2, 2))
     e_d = np.zeros((2, 8))
-    _, edge_out, _ = m.decoder_forward(e_t, o_edge, e_d, 0.3)
+    _, edge_out, _ = m.decoder_forward(e_t, o_edge, e_d)
     assert edge_out.data.shape == (2, 2)
     flat = edge_out.data.reshape(4)
     np.testing.assert_allclose(flat[1:], np.full(3, flat[0]), atol=1e-12)
@@ -234,8 +234,8 @@ def test_edge_update_mode_weights_changes_input():
     m_feat = model(seed=12)
     m_wts = TrackingModel(tiny_cfg(edge_update_mode="weights"), seed=12)
     e_t, o_edge, e_d = rnd((2, 8), 13), rnd((2, 3), 14), rnd((3, 8), 15)
-    _, ef, _ = m_feat.decoder_forward(e_t, o_edge, e_d, 0.3)
-    _, ew, _ = m_wts.decoder_forward(e_t, o_edge, e_d, 0.3)
+    _, ef, _ = m_feat.decoder_forward(e_t, o_edge, e_d)
+    _, ew, _ = m_wts.decoder_forward(e_t, o_edge, e_d)
     assert np.abs(ef.data - ew.data).max() > 1e-8
 
 
@@ -305,19 +305,20 @@ def test_confidence_update_convexity():
 
 def test_matching_no_tracks():
     m = model()
-    out = m.matching_layer(np.zeros((0, 8)), rnd((3, 8), 27), np.zeros((0, 3)), 0.3)
+    out = m.matching_layer(np.zeros((0, 8)), rnd((3, 8), 27), np.zeros((0, 3)))
     np.testing.assert_array_equal(out.data, np.ones((3, 1)))
 
 
 def test_matching_rows_stochastic_and_alpha_one():
     m = model(seed=28)
     e_t, e_d, o_edge = rnd((2, 8), 29), rnd((3, 8), 30), rnd((2, 3), 31)
-    out = m.matching_layer(e_t, e_d, o_edge, 0.3)
+    out = m.matching_layer(e_t, e_d, o_edge)
     assert out.data.shape == (3, 3)
     np.testing.assert_allclose(out.data.sum(axis=1), np.ones(3), atol=1e-6)
 
-    out1 = m.matching_layer(e_t, e_d, o_edge, 1.0)
-    s = m.store
+    m1 = model(seed=28, alpha=1.0)
+    out1 = m1.matching_layer(e_t, e_d, o_edge)
+    s = m1.store
     q = e_d @ s["match.wq"].data.T
     k = e_t @ s["match.wk"].data.T
     o_a = q @ k.T / np.sqrt(8.0)
@@ -328,10 +329,10 @@ def test_matching_rows_stochastic_and_alpha_one():
 
 
 def test_matching_hand_evaluation_d2_t1():
-    m = model(seed=32)
-    e_t, e_d, o_edge = rnd((1, 8), 33), rnd((2, 8), 34), rnd((1, 2), 35)
     alpha = 0.4
-    out = m.matching_layer(e_t, e_d, o_edge, alpha).data
+    m = model(seed=32, alpha=alpha)
+    e_t, e_d, o_edge = rnd((1, 8), 33), rnd((2, 8), 34), rnd((1, 2), 35)
+    out = m.matching_layer(e_t, e_d, o_edge).data
     s = m.store
     o_a = (e_d @ s["match.wq"].data.T) @ (e_t @ s["match.wk"].data.T).T / np.sqrt(8.0)
     o_e = o_edge.T
@@ -348,11 +349,11 @@ def test_matching_uses_separate_parameters_from_decoder():
     m = model(seed=36)
     # zeroing decoder projections must not change the matching output
     e_t, e_d, o_edge = rnd((2, 8), 37), rnd((2, 8), 38), rnd((2, 2), 39)
-    before = m.matching_layer(e_t, e_d, o_edge, 0.3).data.copy()
+    before = m.matching_layer(e_t, e_d, o_edge).data.copy()
     for n in (0, 1):
         for w in ("wq", "wk", "wa"):
             m.store[f"decoder.stage{n}.{w}"].data[:] = 0.0
-    after = m.matching_layer(e_t, e_d, o_edge, 0.3).data
+    after = m.matching_layer(e_t, e_d, o_edge).data
     np.testing.assert_array_equal(before, after)
 
 
@@ -411,7 +412,7 @@ def test_gradcheck_full_decoder_layer():
     e_d = nn.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
 
     def run(a, b, c):
-        out, edge, _ = m.decoder_layer(a, b, c, 0.3, stage=0)
+        out, edge, _ = m.decoder_layer(a, b, c, stage=0)
         return nn.concat([out, edge], axis=1)
 
     err = nn.grad_check(run, [e_t, o_edge, e_d], rng=np.random.default_rng(48))
