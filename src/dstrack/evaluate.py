@@ -60,7 +60,8 @@ def _match_frame(outputs, gt_indices, dets):
 
 def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> EvalReport:
     if len(results) != len(gt.frames):
-        raise ValueError("results and ground truth must cover the same frame count")
+        raise ValueError(f"frame count mismatch: results cover {len(results)} frames, "
+                         f"ground truth {len(gt.frames)}")
 
     total_gt = 0
     misses = 0

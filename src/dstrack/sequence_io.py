@@ -126,7 +126,8 @@ def load_sequence(path: str) -> SequenceFile:
         _warn_unknown(fd, _KNOWN_FRAME, f"frame {fd['index']}")
         index = _int(fd["index"], f"frame {n} in the frames list: index")
         if last_index is not None and index <= last_index:
-            raise ValueError("non-monotone frame index")
+            raise ValueError(f"frame {n} in the frames list: non-monotone frame index, "
+                             f"{index} after {last_index}")
         last_index = index
         dets: List[Detection] = []
         idents: List[Optional[int]] = []
@@ -147,7 +148,8 @@ def load_sequence(path: str) -> SequenceFile:
             if kp_count is None:
                 kp_count = det.pose.keypoint_count
             elif det.pose.keypoint_count != kp_count:
-                raise ValueError("inconsistent keypoint count")
+                raise ValueError(f"{where}: inconsistent keypoint count, "
+                                 f"{det.pose.keypoint_count} where earlier poses have {kp_count}")
             ident = dd.get("identity")
             if ident is not None and (isinstance(ident, bool) or not isinstance(ident, int)):
                 raise ValueError(f"{where}: identity must be an integer or null, got {ident!r}")

@@ -114,8 +114,8 @@ def synth_sequence(scenario: str, n_frames: Optional[int] = None, seed: int = 0,
                    duplicate_prob: float = 0.5, crops: bool = False) -> SequenceFile:
     """Build a labeled scenario sequence.
 
-    Detections normally carry precomputed appearance vectors; with
-    crops=True they carry image crops instead, routing the tracker through
+    Detections normally carry appearance vectors; with crops=True they
+    carry image crops instead, routing the tracker and the trainer through
     the convolutional backbone.
     """
     if scenario not in SCENARIOS:

@@ -128,9 +128,10 @@ def check_detections(dets: Sequence[Detection], cfg: EngineConfig) -> None:
             f"for every detection of the frame")
 
 
-def _detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.Tensor:
-    """Appearance embeddings for a frame: precomputed vectors when every
-    detection has one, otherwise the pose-modulated backbone on crops."""
+def detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.Tensor:
+    """D x d appearance embeddings for a frame, the one path of tracking and
+    training: precomputed vectors when every detection has one, otherwise
+    the pose-modulated backbone on crops.  An empty frame gives 0 x d."""
     cfg = model.cfg
     needs_backbone = any(d.appearance is None for d in dets)
     if needs_backbone and "backbone.head.w" not in model.store:
@@ -138,7 +139,8 @@ def _detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn
             "detections lack appearance embeddings and no backbone is configured")
     check_detections(dets, cfg)
     if not needs_backbone:
-        return nn.Tensor(np.stack([d.appearance for d in dets]))
+        return nn.Tensor(np.stack([d.appearance for d in dets]) if dets
+                         else np.zeros((0, cfg.d)))
     from .spapde import appearance_embed_batch, render_heatmaps
 
     heats = []
@@ -188,7 +190,7 @@ def step(state: TrackerState, detections: Sequence[Detection], model: TrackingMo
         result = FrameResult(closed_tracks=closed)
         return result, TrackerState(survivors, state.next_id), None
 
-    e_d0 = _detection_embeddings(detections, model)
+    e_d0 = detection_embeddings(detections, model)
     raw = edge_features(tracks, detections, cfg)
     e_t_old = np.stack([t.embedding for t in tracks]) if tracks else np.zeros((0, cfg.d))
     fwd = model.forward_frame(e_t_old, raw, e_d0)

@@ -17,6 +17,7 @@ from . import nn
 from .config import EngineConfig, kappa_array
 from .datatypes import Box, Detection, Pose
 from .geometry import edge_features, oks_grid
+from .tracker import detection_embeddings
 from .transformer import TrackingModel
 
 PROB_EPS = 1e-12
@@ -267,15 +268,6 @@ def _encoder_groups(labels: IdentityLabels) -> List[List[int]]:
     return out
 
 
-def _detection_matrix(frame: LabeledFrame, cfg: EngineConfig) -> np.ndarray:
-    embeds = []
-    for d in frame.detections:
-        if d.appearance is None:
-            raise ValueError("toy training expects precomputed appearance vectors")
-        embeds.append(d.appearance)
-    return np.stack(embeds) if embeds else np.zeros((0, cfg.d))
-
-
 def labeled_frames(seq) -> List[LabeledFrame]:
     """Adapt a loaded sequence file (anything with .frames carrying
     .detections/.identities) to the trainer's input."""
@@ -299,9 +291,14 @@ def train_toy(sequences: Sequence[Sequence[LabeledFrame]], cfg: EngineConfig,
     through it, accumulates the matching and attention losses of both
     transitions (plus encoder losses on every frame), and takes one
     optimizer step.  Returns the model and the per-iteration loss curve.
+    Without a given model, one with the backbone is built when some detection
+    has only a crop, so those losses train the backbone too.
     """
     rng = np.random.default_rng(seed)
-    model = model or TrackingModel(cfg, seed=seed)
+    if model is None:
+        crops = any(d.appearance is None for seq in sequences for fr in seq
+                    for d in fr.detections)
+        model = TrackingModel(cfg, seed=seed, with_backbone=crops)
     opt = AdamW(model.store, schedule or LrSchedule())
 
     windows = [(si, start) for si, seq in enumerate(sequences)
@@ -333,7 +330,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
     match_acc = nn.Tensor(np.zeros(()))
 
     labels0 = _frame_labels(frames[0], cfg)
-    e_d0 = _detection_matrix(frames[0], cfg)
+    e_d0 = detection_embeddings(frames[0].detections, model)
     enc_out, enc_attn = model.encoder_forward(e_d0)
     for k in range(n_enc):
         enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], _encoder_groups(labels0)))
@@ -354,7 +351,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
     for frame in frames[1:]:
         labels = _frame_labels(frame, cfg)
         raw = edge_features(teacher, frame.detections, cfg)
-        e_d = _detection_matrix(frame, cfg)
+        e_d = detection_embeddings(frame.detections, model)
         fwd = model.forward_frame(e_t, raw, e_d)
 
         match_acc = nn.add(match_acc, loss_match(fwd.match, labels.det_identity, track_ids))

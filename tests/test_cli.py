@@ -191,6 +191,24 @@ def test_crops_route_through_backbone(tmp_path, capsys):
     assert json.loads(report.read_text())["id_switches"] == 0
 
 
+def test_train_on_crops_writes_a_backbone_checkpoint(tmp_path, capsys):
+    cfg = dict(SMALL_CFG, crop_height=16, crop_width=8)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    seq = tmp_path / "seq.json"
+    ckpt = tmp_path / "model.ckpt"
+    res = tmp_path / "res.jsonl"
+    assert run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "5",
+                "--crops", "--config", str(p), "--out", str(seq)]) == 0
+    assert run(["train", str(seq), "--config", str(p), "--iters", "2",
+                "--out", str(ckpt)]) == 0
+    assert any(k.startswith("backbone.") for k in nn.load_checkpoint(str(ckpt)))
+    assert run(["track", str(seq), "--config", str(p), "--weights", str(ckpt),
+                "--out", str(res)]) == 0
+    capsys.readouterr()
+    assert len(res.read_text().strip().splitlines()) == 5
+
+
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seeds", "1"]) == 0
     out = capsys.readouterr().out

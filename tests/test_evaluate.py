@@ -77,6 +77,12 @@ def test_length_mismatch():
         evaluate(perfect_results(4), gt)
 
 
+def test_length_mismatch_names_both_counts():
+    with pytest.raises(ValueError) as e:
+        evaluate(perfect_results(1), gt_two_identities(3))
+    assert str(e.value) == "frame count mismatch: results cover 1 frames, ground truth 3"
+
+
 def test_miss_and_false_positive_accounting():
     gt = gt_two_identities(2)
     # frame 0: only identity 7 claimed; frame 1: extra claim on a det that

@@ -117,6 +117,30 @@ def test_inconsistent_keypoint_count(tmp_path):
         load_sequence(path)
 
 
+def test_non_monotone_frame_index_names_the_frame(tmp_path):
+    path = tmp_path / "mono.json"
+    doc = {"schema_version": 1, "frames": [
+        {"index": i, "image_size": [64, 64], "detections": []} for i in (0, 1, 1)]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as e:
+        load_sequence(path)
+    assert str(e.value) == "frame 2 in the frames list: non-monotone frame index, 1 after 1"
+
+
+def test_inconsistent_keypoint_count_names_the_detection_and_both_counts(tmp_path):
+    path = tmp_path / "kp.json"
+    frames = [[one_detection(k=8), one_detection(k=8)] for _ in range(3)]
+    frames[2][1] = one_detection(k=4)
+    doc = {"schema_version": 1, "frames": [
+        {"index": i, "image_size": [64, 64], "detections": [d.to_dict() for d in dets]}
+        for i, dets in enumerate(frames)]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as e:
+        load_sequence(path)
+    assert str(e.value) == ("frame 2, detection 1: inconsistent keypoint count, "
+                            "4 where earlier poses have 8")
+
+
 def test_unknown_fields_warn_but_parse(tmp_path):
     path = tmp_path / "extra.json"
     det = one_detection().to_dict()

@@ -7,6 +7,7 @@ import pytest
 from dstrack import nn
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
+from dstrack.synth import synth_sequence
 from dstrack.training import (
     GREEDY_OKS_FLOOR,
     AdamW,
@@ -15,6 +16,7 @@ from dstrack.training import (
     LrSchedule,
     greedy_identity_assignment,
     inject_duplicate,
+    labeled_frames,
     loss_attn,
     loss_match,
     subsequences,
@@ -22,6 +24,7 @@ from dstrack.training import (
     train_toy,
 )
 from dstrack.transformer import TrackingModel
+from small_config import SMALL
 
 
 def small_cfg(**kw):
@@ -389,6 +392,32 @@ def test_train_toy_rejects_too_short_sequences():
     frames = two_identity_sequence(cfg)[0][:2]
     with pytest.raises(ValueError, match="3-frame windows"):
         train_toy([frames], cfg, seed=0, n_iters=2)
+
+
+def test_train_toy_runs_through_an_empty_frame():
+    # a window may hold a frame without detections, whose embedding matrix
+    # is 0 x d; the totals are the vector path's recorded values
+    frames = labeled_frames(synth_sequence("crowd", seed=0, cfg=SMALL))
+    frames[3].detections = []
+    frames[3].identities = []
+    _, curve = train_toy([frames[:6]], SMALL, seed=0, n_iters=4)
+    assert [repr(r.total) for r in curve] == [
+        "14.834920784105677", "24.821177214587365", "14.37163385825082",
+        "24.124052936441792"]
+
+
+def test_train_toy_on_crops_trains_the_backbone():
+    cfg = small_cfg()
+    seq = synth_sequence("crossing", n_frames=5, seed=0, cfg=cfg, crops=True)
+    model, curve = train_toy([labeled_frames(seq)], cfg, seed=0, n_iters=3)
+    assert all(np.isfinite(r.total) for r in curve)
+    fresh = TrackingModel(cfg, seed=0, with_backbone=True).store.state_dict()
+    trained = model.store.state_dict()
+    assert trained.keys() == fresh.keys()
+    weights = [k for k in fresh if k.startswith("backbone.stage") and k.endswith(".conv.w")]
+    assert weights
+    for k in weights + ["backbone.head.w"]:
+        assert not np.array_equal(trained[k], fresh[k]), k
 
 
 def test_gradient_reaches_every_stage_edge_readout():
