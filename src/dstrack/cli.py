@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: track, train, eval, gradcheck, synth.  Config values come from
-(in rising priority) built-in defaults, a JSON config file (--config flag,
-or the DSTRACK_CONFIG environment variable when the flag is absent), and
-individual flags.  Usage and config-validation problems exit 2; runtime
-failures exit 1.
+Subcommands: track, train, eval, gradcheck, synth.  Engine settings come
+from the built-in defaults, overridden field by field by the JSON config
+file given with --config; there is no other source.  Usage and
+config-validation problems exit 2; runtime failures exit 1.
 """
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -37,20 +35,9 @@ from .tracker import check_detections, run_sequence
 from .training import LrSchedule, labeled_frames, train_toy
 from .transformer import TrackingModel
 
-CONFIG_ENV_VAR = "DSTRACK_CONFIG"
-
 
 class UsageError(Exception):
     pass
-
-
-def _config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON file of engine config overrides")
-    p.add_argument("--alpha", type=float, help="appearance/geometry blend")
-    p.add_argument("--tau-dup", type=float, dest="tau_dup",
-                   help="duplicate suppression threshold")
-    p.add_argument("--tau-age", type=int, dest="tau_age",
-                   help="frames a track may go unmatched")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="checkpoint; omitted = untrained baseline")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="JSONL output path (default stdout)")
-    _config_flags(p)
+    p.add_argument("--config", help="JSON file of engine config overrides")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("train", help="toy-scale training on labeled sequences")
@@ -73,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="model.ckpt", help="checkpoint output path")
     p.add_argument("--curve", help="loss curve CSV output path")
-    _config_flags(p)
+    p.add_argument("--config", help="JSON file of engine config overrides")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score tracking results against labels")
@@ -99,13 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit image crops instead of appearance vectors, "
                         "routing the tracker through the backbone")
     p.add_argument("--out", required=True)
-    _config_flags(p)
+    p.add_argument("--config", help="JSON file of engine config overrides")
     p.set_defaults(func=cmd_synth)
     return parser
 
 
-def _load_config(args) -> EngineConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+def _load_config(path: Optional[str]) -> EngineConfig:
     fields = {}
     if path:
         try:
@@ -120,10 +106,6 @@ def _load_config(args) -> EngineConfig:
             raise UsageError(f"unknown config fields {sorted(unknown)}")
         if "oks_kappas" in fields:
             fields["oks_kappas"] = tuple(fields["oks_kappas"])
-    for flag in ("alpha", "tau_dup", "tau_age"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[flag] = value
     try:
         cfg = EngineConfig(**fields)
         validate_config(cfg)
@@ -159,15 +141,10 @@ def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
 
 
 def _load_sequence(path: str, cfg: EngineConfig) -> SequenceFile:
-    """load_sequence, refusing what the config cannot run before any frame
-    does: poses whose keypoint count it does not describe (the OKS kappas
-    come from the config), and any frame that check_detections refuses."""
+    """load_sequence, refusing any frame that check_detections refuses
+    before the first frame runs."""
     with _reading(path):
         seq = load_sequence(path)
-        count = seq.keypoint_count()
-        if count is not None and count != cfg.keypoint_count:
-            raise ValueError(f"poses have {count} keypoints, "
-                             f"config expects keypoint_count {cfg.keypoint_count}")
         for fr in seq.frames:
             try:
                 check_detections(fr.detections, cfg)
@@ -177,7 +154,7 @@ def _load_sequence(path: str, cfg: EngineConfig) -> SequenceFile:
 
 
 def cmd_track(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     seq = _load_sequence(args.sequence, cfg)
     frames = seq.detection_frames()
     crops_only = any(d.appearance is None for dets in frames for d in dets)
@@ -192,7 +169,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     seqs = [labeled_frames(_load_sequence(p, cfg)) for p in args.sequences]
     schedule = LrSchedule(lr=args.lr) if args.lr is not None else None
     model, curve = train_toy(seqs, cfg, seed=args.seed, n_iters=args.iters,
@@ -233,7 +210,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     seq = synth_sequence(args.scenario, n_frames=args.frames, seed=args.seed,
                          cfg=cfg, separation=args.separation, gap=args.gap,
                          duplicate_prob=args.duplicate_prob, crops=args.crops)

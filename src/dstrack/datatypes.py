@@ -176,7 +176,6 @@ class Track:
     last_pose: Pose
     last_box: Box
     frames_since_match: int = 0
-    active: bool = True
 
     def __post_init__(self):
         emb = _frozen_array(self.embedding)

@@ -164,12 +164,6 @@ def _check_conv3x3(rng):
     return lambda *i: nn.conv3x3(*i), [x, w, b]
 
 
-def _check_conv3x3_unbatched(rng):
-    x = _t(rng, 2, 4, 5)
-    w = _t(rng, 3, 2, 3, 3)
-    return lambda *i: nn.conv3x3(*i), [x, w]
-
-
 def _check_avg_pool2(rng):
     return lambda v: nn.avg_pool2(v), [_t(rng, 1, 2, 4, 6)]
 
@@ -306,7 +300,6 @@ CHECKS: List = [
     ("op layer_norm", _check_layer_norm),
     ("op ffn", _check_ffn),
     ("op conv3x3", _check_conv3x3),
-    ("op conv3x3 unbatched", _check_conv3x3_unbatched),
     ("op avg_pool2", _check_avg_pool2),
     ("composite dual_source_attention", _check_dual_source_attention),
     ("composite decoder_layer", _check_decoder_layer),

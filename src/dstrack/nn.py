@@ -462,68 +462,52 @@ def _correlate3x3(xd, w):
     return y.reshape(n, w.shape[0], h, wd_)
 
 
-def conv3x3(x, w, b=None) -> Tensor:
+def conv3x3(x, w, b) -> Tensor:
     """Same-padded stride-1 3x3 cross-correlation.
 
-    x: (C_in, H, W) or (N, C_in, H, W); w: (C_out, C_in, 3, 3); b: (C_out,).
+    x: (N, C_in, H, W); w: (C_out, C_in, 3, 3); b: (C_out,).
     """
-    x = as_tensor(x)
-    w = as_tensor(w)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4:
-        raise ValueError("conv3x3 expects a 3-d or 4-d input")
-    if xd.shape[1] != w.data.shape[1]:
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 4:
+        raise ValueError("conv3x3 expects a 4-d (N, C, H, W) input")
+    if x.data.shape[1] != w.data.shape[1]:
         raise ValueError(
-            f"conv3x3: input has {xd.shape[1]} channels, kernel expects {w.data.shape[1]}"
+            f"conv3x3: input has {x.data.shape[1]} channels, kernel expects {w.data.shape[1]}"
         )
-    y = _correlate3x3(xd, w.data)
-    parents = [x, w]
-    if b is not None:
-        b = as_tensor(b)
-        y = y + b.data[None, :, None, None]
-        parents.append(b)
-    out = Tensor(y[0] if squeeze else y, parents=tuple(parents))
+    y = _correlate3x3(x.data, w.data) + b.data[None, :, None, None]
+    out = Tensor(y, parents=(x, w, b))
 
     # the closure keeps only x, w and b: every conv of a frame stays on the
     # tape until backward, so holding the padded input or its patch columns
     # here would hold them all at once
     def backward(g):
-        gy = g[None] if squeeze else g
         if x.requires_grad:
             # adjoint of a same-padded correlation: correlate with the kernel
             # flipped in space and transposed in channels
-            gx = _correlate3x3(gy, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            x.accumulate(gx[0] if squeeze else gx)
+            x.accumulate(_correlate3x3(g, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
         if w.requires_grad:
-            xs = x.data[None] if squeeze else x.data
-            n, c_out = gy.shape[:2]
-            gw = gy.reshape(n, c_out, -1) @ _patch_cols(xs).transpose(0, 2, 1)
+            n, c_out = g.shape[:2]
+            gw = g.reshape(n, c_out, -1) @ _patch_cols(x.data).transpose(0, 2, 1)
             w.accumulate(gw.sum(axis=0).reshape(w.data.shape))
-        if b is not None and b.requires_grad:
-            b.accumulate(gy.sum(axis=(0, 2, 3)))
+        if b.requires_grad:
+            b.accumulate(g.sum(axis=(0, 2, 3)))
 
     out._backward = backward
     return out
 
 
 def avg_pool2(x) -> Tensor:
-    """2x2 average pooling with stride 2; spatial dims must be even."""
+    """2x2 average pooling with stride 2 of (N, C, H, W); H and W must be even."""
     x = as_tensor(x)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    n, c, h, w = xd.shape
+    n, c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError("avg_pool2 needs even spatial dims")
-    y = xd.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-    out = Tensor(y[0] if squeeze else y, parents=(x,))
+    y = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = Tensor(y, parents=(x,))
 
     def backward(g):
-        if not x.requires_grad:
-            return
-        gy = g[None] if squeeze else g
-        gx = np.repeat(np.repeat(gy, 2, axis=2), 2, axis=3) * 0.25
-        x.accumulate(gx[0] if squeeze else gx)
+        if x.requires_grad:
+            x.accumulate(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
 
     out._backward = backward
     return out

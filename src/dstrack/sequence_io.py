@@ -44,12 +44,6 @@ class SequenceFile:
     fps: float
     frames: List[SequenceFrame] = field(default_factory=list)
 
-    def keypoint_count(self) -> Optional[int]:
-        for fr in self.frames:
-            for det in fr.detections:
-                return det.pose.keypoint_count
-        return None
-
     def detection_frames(self) -> List[List[Detection]]:
         return [list(fr.detections) for fr in self.frames]
 

@@ -85,22 +85,16 @@ def init_backbone_params(store: nn.ParamStore, cfg: EngineConfig, rng: np.random
     store.create("backbone.head.b", (cfg.d,), rng, init="zeros")
 
 
-def appearance_embed_batch(crops, heatmaps, store: nn.ParamStore, cfg: EngineConfig) -> nn.Tensor:
+def appearance_embed_batch(crops, heatmaps, store: nn.ParamStore) -> nn.Tensor:
     """Embed a batch of person crops, pose-modulated by their heatmaps.
 
     crops: (N, 3, H, W); heatmaps: (N, K, H, W).  Normalization statistics
     are computed from this batch alone, so persons in one call share
-    statistics (callers batch per frame).
+    statistics (callers batch per frame).  The shapes are not checked here:
+    tracker.check_detections holds every detection to the config first.
     """
-    crops = np.asarray(crops, dtype=np.float64)
-    if crops.ndim != 4 or crops.shape[1] != 3:
-        raise ValueError("crops must have shape (N, 3, H, W)")
-    if crops.shape[2] != cfg.crop_height or crops.shape[3] != cfg.crop_width:
-        raise ValueError("crop size does not match config")
     hm = np.asarray(heatmaps, dtype=np.float64)
-    if hm.shape != (crops.shape[0], cfg.keypoint_count, *crops.shape[2:]):
-        raise ValueError("heatmaps must have shape (N, K, H, W)")
-    x = nn.Tensor(crops)
+    x = nn.Tensor(np.asarray(crops, dtype=np.float64))
     for s in range(len(STAGE_CHANNELS)):
         x = nn.conv3x3(x, store[f"backbone.stage{s}.conv.w"], store[f"backbone.stage{s}.conv.b"])
         gamma, beta = spapde_modulation(hm, store, f"backbone.stage{s}.spapde")

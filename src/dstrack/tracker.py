@@ -98,15 +98,21 @@ def assign_and_filter(match: np.ndarray, tau_dup: float):
 
 
 def check_detections(dets: Sequence[Detection], cfg: EngineConfig) -> None:
-    """Refuse a frame's detections that the config cannot embed.
+    """Refuse a frame's detections that the config cannot run.
 
-    A detection's appearance is its precomputed vector, of length d, or the
-    backbone's embedding of its crop and heatmaps, both crop_height x
-    crop_width.  A frame takes one of the two: when any detection lacks a
-    vector, the backbone embeds every detection, so each needs a crop.
+    A pose has the config's keypoint_count keypoints, which the OKS kappas
+    and the backbone's heatmap channels are sized for.  A detection's
+    appearance is its precomputed vector, of length d, or the backbone's
+    embedding of its crop and heatmaps, both crop_height x crop_width.  A
+    frame takes one of the two: when any detection lacks a vector, the
+    backbone embeds every detection, so each needs a crop.
     """
     size = (cfg.crop_height, cfg.crop_width)
     for j, d in enumerate(dets):
+        k = d.pose.keypoint_count
+        if k != cfg.keypoint_count:
+            raise ValueError(f"detection {j}: pose has {k} keypoints, "
+                             f"config expects keypoint_count {cfg.keypoint_count}")
         a = d.appearance
         if a is not None and a.shape != (cfg.d,):
             got = f"length {a.shape[0]}" if a.ndim == 1 else f"shape {a.shape}"
@@ -158,15 +164,14 @@ def detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.
             heats.append(render_heatmaps(pose, cfg.crop_height, cfg.crop_width,
                                          cfg.heatmap_kernel_width))
     crops = np.stack([d.crop for d in dets])
-    return appearance_embed_batch(crops, np.stack(heats), model.store, cfg)
+    return appearance_embed_batch(crops, np.stack(heats), model.store)
 
 
 def _age_and_close(tracks: Sequence[Track], tau_age: int):
     """Age unmatched tracks by one frame; returns (surviving tracks, closed ids)."""
     survivors, closed = [], []
     for t in tracks:
-        aged = dataclasses.replace(t, frames_since_match=t.frames_since_match + 1,
-                                   active=False)
+        aged = dataclasses.replace(t, frames_since_match=t.frames_since_match + 1)
         if aged.frames_since_match > tau_age:
             closed.append(aged.id)
         else:
@@ -211,7 +216,6 @@ def step(state: TrackerState, detections: Sequence[Detection], model: TrackingMo
             last_pose=det.pose,
             last_box=det.box,
             frames_since_match=0,
-            active=True,
         ))
         result.assignments.append((det_idx, old.id))
 
@@ -229,7 +233,7 @@ def step(state: TrackerState, detections: Sequence[Detection], model: TrackingMo
             det = detections[det_idx]
             new_tracks.append(Track(
                 id=next_id, embedding=fresh_embed[row], last_pose=det.pose,
-                last_box=det.box, frames_since_match=0, active=True))
+                last_box=det.box))
             result.new_tracks.append((det_idx, next_id))
             next_id += 1
 

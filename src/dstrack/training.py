@@ -329,42 +329,28 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
     dec_acc = [nn.Tensor(np.zeros(()))] * n_dec
     match_acc = nn.Tensor(np.zeros(()))
 
-    labels0 = _frame_labels(frames[0], cfg)
-    e_d0 = detection_embeddings(frames[0].detections, model)
-    enc_out, enc_attn = model.encoder_forward(e_d0)
-    for k in range(n_enc):
-        enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], _encoder_groups(labels0)))
-
-    # teacher-forced initial tracks: one per identity, embedding from the
-    # new-track head on the canonical detection's encoded feature
+    # teacher-forced tracks: frame 0 has none, so it runs only the encoder
+    # and opens one track per identity
+    e_t = nn.Tensor(np.zeros((0, cfg.d)))
     track_ids: List[int] = []
     teacher: List[_TeacherTrack] = []
-    rows = []
-    for ident, group in labels0.groups().items():
-        det = frames[0].detections[group[0]]
-        track_ids.append(ident)
-        teacher.append(_TeacherTrack(det.pose, det.box))
-        rows.append(group[0])
-    e_t = model.new_track_head(nn.take(enc_out, (np.asarray(rows),))) if rows \
-        else nn.Tensor(np.zeros((0, cfg.d)))
-
-    for frame in frames[1:]:
+    for f, frame in enumerate(frames):
         labels = _frame_labels(frame, cfg)
-        raw = edge_features(teacher, frame.detections, cfg)
         e_d = detection_embeddings(frame.detections, model)
-        fwd = model.forward_frame(e_t, raw, e_d)
-
-        match_acc = nn.add(match_acc, loss_match(fwd.match, labels.det_identity, track_ids))
-        groups = labels.groups()
-        track_groups = [groups.get(ident, []) for ident in track_ids]
-        for k in range(n_dec):
-            dec_acc[k] = nn.add(dec_acc[k], loss_attn(fwd.bundles[k].fused, track_groups))
+        if f == 0:
+            enc_out, enc_attn = model.encoder_forward(e_d)
+        else:
+            fwd = model.forward_frame(e_t, edge_features(teacher, frame.detections, cfg), e_d)
+            e_t, enc_out, enc_attn = fwd.updated_tracks, fwd.enc_out, fwd.enc_attn
+            match_acc = nn.add(match_acc, loss_match(fwd.match, labels.det_identity, track_ids))
+            groups = labels.groups()
+            track_groups = [groups.get(ident, []) for ident in track_ids]
+            for k in range(n_dec):
+                dec_acc[k] = nn.add(dec_acc[k], loss_attn(fwd.bundles[k].fused, track_groups))
         for k in range(n_enc):
-            enc_acc[k] = nn.add(enc_acc[k], loss_attn(fwd.enc_attn[k], _encoder_groups(labels)))
-
-        # teacher-forced state advance
-        e_t, track_ids, teacher = _advance_state(model, fwd, frame, labels,
-                                                 track_ids, teacher, cfg)
+            enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], _encoder_groups(labels)))
+        e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame, labels,
+                                                 track_ids, teacher)
 
     total = total_loss(match_acc, enc_acc, dec_acc)
     model.store.zero_grad()
@@ -380,12 +366,13 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
     )
 
 
-def _advance_state(model: TrackingModel, fwd, frame: LabeledFrame,
-                   labels: IdentityLabels, track_ids: List[int],
-                   teacher: List[_TeacherTrack], cfg: EngineConfig):
-    """Ground-truth-matched update: existing tracks adopt their blended
-    embedding and the canonical detection geometry; unseen identities open
-    teacher-forced new tracks."""
+def _advance_state(model: TrackingModel, e_t: nn.Tensor, enc_out: nn.Tensor,
+                   frame: LabeledFrame, labels: IdentityLabels, track_ids: List[int],
+                   teacher: List[_TeacherTrack]):
+    """Ground-truth-matched update: existing tracks keep their embedding row
+    of e_t and adopt the canonical detection geometry; unseen identities open
+    teacher-forced new tracks from the new-track head on the canonical
+    detection's row of enc_out."""
     groups = labels.groups()
     new_track_ids = list(track_ids)
     new_teacher = []
@@ -396,7 +383,6 @@ def _advance_state(model: TrackingModel, fwd, frame: LabeledFrame,
             new_teacher.append(_TeacherTrack(det.pose, det.box))
         else:
             new_teacher.append(teacher[pos])
-    e_t = fwd.updated_tracks
 
     fresh_rows = []
     for ident, group in groups.items():
@@ -407,6 +393,6 @@ def _advance_state(model: TrackingModel, fwd, frame: LabeledFrame,
         new_teacher.append(_TeacherTrack(det.pose, det.box))
         fresh_rows.append(group[0])
     if fresh_rows:
-        fresh = model.new_track_head(nn.take(fwd.enc_out, (np.asarray(fresh_rows),)))
+        fresh = model.new_track_head(nn.take(enc_out, (np.asarray(fresh_rows),)))
         e_t = nn.concat([e_t, fresh], axis=0)
     return e_t, new_track_ids, new_teacher

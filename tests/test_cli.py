@@ -12,7 +12,6 @@ import pytest
 import dstrack
 from dstrack import nn
 from dstrack.cli import main
-from dstrack.sequence_io import load_sequence
 from dstrack.transformer import TrackingModel
 from small_config import SMALL
 
@@ -36,8 +35,7 @@ def test_synth_track_eval_pipeline(tmp_path, cfg_path, capsys):
     report = tmp_path / "report.json"
     assert run(["synth", "--scenario", "crossing", "--seed", "0",
                 "--config", cfg_path, "--out", str(seq)]) == 0
-    assert run(["track", str(seq), "--config", cfg_path, "--alpha", "0.3",
-                "--out", str(res)]) == 0
+    assert run(["track", str(seq), "--config", cfg_path, "--out", str(res)]) == 0
     assert run(["eval", str(res), str(seq), "--out", str(report)]) == 0
     capsys.readouterr()
     data = json.loads(report.read_text())
@@ -78,32 +76,23 @@ def test_synth_seed_changes_output(tmp_path, cfg_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_env_var_supplies_config(tmp_path, cfg_path, monkeypatch):
-    monkeypatch.setenv("DSTRACK_CONFIG", cfg_path)
-    out = tmp_path / "seq.json"
-    assert run(["synth", "--scenario", "crowd", "--seed", "0", "--frames",
-                "3", "--out", str(out)]) == 0
-    seq = load_sequence(str(out))
-    assert seq.keypoint_count() == SMALL_CFG["keypoint_count"]
-
-
-def test_flag_overrides_config_file(tmp_path, capsys):
-    bad = dict(SMALL_CFG, alpha=1.5)
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(bad))
-    out = tmp_path / "seq.json"
-    args = ["synth", "--scenario", "crowd", "--frames", "2",
-            "--config", str(p), "--out", str(out)]
-    assert run(args) == 2
-    assert "alpha" in capsys.readouterr().err
-    assert run(args + ["--alpha", "0.3"]) == 0
+def test_environment_supplies_no_config(tmp_path, monkeypatch):
+    # settings come only from the defaults and --config: a config file
+    # named in the environment is not read, so its bad alpha does not count
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL_CFG, alpha=1.5)))
+    monkeypatch.setenv("DSTRACK_CONFIG", str(bad))
+    assert run(["synth", "--scenario", "crowd", "--frames", "2",
+                "--out", str(tmp_path / "seq.json")]) == 0
 
 
 def test_alpha_out_of_range_is_usage_error(tmp_path, cfg_path, capsys):
     seq = tmp_path / "seq.json"
     run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "2",
          "--config", cfg_path, "--out", str(seq)])
-    code = run(["track", str(seq), "--config", cfg_path, "--alpha", "1.5"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL_CFG, alpha=1.5)))
+    code = run(["track", str(seq), "--config", str(bad)])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
 
@@ -133,7 +122,7 @@ def tracks_opened(results_path):
                for line in results_path.read_text().splitlines())
 
 
-def test_alpha_flag_reaches_the_blend(tmp_path, cfg_path, capsys):
+def test_config_alpha_reaches_the_blend(tmp_path, cfg_path, capsys):
     # occlusion: at the default alpha appearance carries both identities
     # across the gap; geometry alone (alpha 0) opens a replacement track
     assert SMALL_CFG["alpha"] == 0.3
@@ -143,7 +132,9 @@ def test_alpha_flag_reaches_the_blend(tmp_path, cfg_path, capsys):
     blend, geometry = tmp_path / "blend.jsonl", tmp_path / "geometry.jsonl"
     report = tmp_path / "report.json"
     assert run(["track", str(seq), "--config", cfg_path, "--out", str(blend)]) == 0
-    assert run(["track", str(seq), "--config", cfg_path, "--alpha", "0.0",
+    geometry_cfg = tmp_path / "alpha0.json"
+    geometry_cfg.write_text(json.dumps(dict(SMALL_CFG, alpha=0.0)))
+    assert run(["track", str(seq), "--config", str(geometry_cfg),
                 "--out", str(geometry)]) == 0
     assert run(["eval", str(blend), str(seq), "--out", str(report)]) == 0
     capsys.readouterr()
@@ -330,7 +321,7 @@ def test_checkpoint_with_ffn_hidden_wide_edge_refresh_is_runtime_error(tmp_path,
 @pytest.mark.parametrize("command", ["track", "train"])
 def test_keypoint_count_mismatch_is_runtime_error(tmp_path, cfg_path, capsys, command):
     # an 8-keypoint sequence under a 4-keypoint config is refused at load,
-    # naming both counts, before any frame runs
+    # naming the first detection and both counts, before any frame runs
     seq = tmp_path / "seq.json"
     run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "3",
          "--config", cfg_path, "--out", str(seq)])
@@ -342,7 +333,7 @@ def test_keypoint_count_mismatch_is_runtime_error(tmp_path, cfg_path, capsys, co
     assert run(argv[command] + ["--config", str(other)]) == 1
     err = capsys.readouterr().err
     assert_one_error_line(err)
-    assert err.startswith(f"error: {seq}: poses have 8 keypoints, "
+    assert err.startswith(f"error: {seq}: frame 0, detection 0: pose has 8 keypoints, "
                           "config expects keypoint_count 4")
 
 

@@ -55,7 +55,7 @@ def test_round_trip(tmp_path):
     assert b.box == a.box
     np.testing.assert_array_equal(b.pose.coords, a.pose.coords)
     np.testing.assert_array_equal(b.appearance, a.appearance)
-    assert back.keypoint_count() == 4
+    assert b.pose.keypoint_count == 4
 
 
 def test_save_is_deterministic(tmp_path):

@@ -119,28 +119,24 @@ def test_conv3x3_matches_naive_loop():
 
 
 def test_conv3x3_unbatched_and_channel_mismatch():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 4, 4))
-    w = rng.standard_normal((2, 3, 3, 3))
-    y3 = nn.conv3x3(t(x), t(w)).data
-    y4 = nn.conv3x3(t(x[None]), t(w)).data
-    np.testing.assert_allclose(y3, y4[0], atol=1e-12)
+    w, b = t(np.zeros((2, 3, 3, 3))), t(np.zeros(2))
+    with pytest.raises(ValueError, match="4-d"):
+        nn.conv3x3(t(np.zeros((3, 4, 4))), w, b)
     with pytest.raises(ValueError, match="channels"):
-        nn.conv3x3(t(np.zeros((2, 4, 4))), t(w))
+        nn.conv3x3(t(np.zeros((1, 2, 4, 4))), w, b)
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_conv3x3_backward_matches_naive_loop(batched):
+def test_conv3x3_backward_matches_naive_loop():
     # C_in != C_out and H != W, so a wrong channel transpose or spatial flip
     # in the input gradient's adjoint cannot cancel out
     rng = np.random.default_rng(5)
-    n, c_in, c_out, h, w_ = 2 if batched else 1, 2, 3, 5, 4
+    n, c_in, c_out, h, w_ = 2, 2, 3, 5, 4
     x = rng.standard_normal((n, c_in, h, w_))
     w = rng.standard_normal((c_out, c_in, 3, 3))
     b = rng.standard_normal(c_out)
     gy = rng.standard_normal((n, c_out, h, w_))
-    tx, tw, tb = t(x if batched else x[0]), t(w), t(b)
-    nn.conv3x3(tx, tw, tb)._backward(gy if batched else gy[0])
+    tx, tw, tb = t(x), t(w), t(b)
+    nn.conv3x3(tx, tw, tb)._backward(gy)
 
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     gxp = np.zeros_like(xp)
@@ -158,7 +154,7 @@ def test_conv3x3_backward_matches_naive_loop(batched):
                                 gxp[s, c, i + dy, j + dx] += w[o, c, dy, dx] * g
                                 gw[o, c, dy, dx] += xp[s, c, i + dy, j + dx] * g
     gx = gxp[:, :, 1:-1, 1:-1]
-    np.testing.assert_allclose(tx.grad, gx if batched else gx[0], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(tx.grad, gx, rtol=0, atol=1e-10)
     np.testing.assert_allclose(tw.grad, gw, rtol=0, atol=1e-10)
     np.testing.assert_allclose(tb.grad, gb, rtol=0, atol=1e-10)
 
@@ -205,13 +201,12 @@ def test_conv3x3_forward_matches_per_tap_reference(name, shape, h, w_):
     assert err <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_conv3x3_backward_closure_holds_only_its_inputs(batched):
+def test_conv3x3_backward_closure_holds_only_its_inputs():
     # every conv of a frame stays on the tape until backward runs, so a
     # padded input or patch matrix kept by the closure would be held once
     # per conv for the whole frame
     rng = np.random.default_rng(0)
-    x = t(rng.standard_normal((2, 3, 8, 6) if batched else (3, 8, 6)))
+    x = t(rng.standard_normal((2, 3, 8, 6)))
     w, b = t(rng.standard_normal((4, 3, 3, 3))), t(rng.standard_normal(4))
     out = nn.conv3x3(x, w, b)
     allowed = (x, w, b)

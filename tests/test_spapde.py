@@ -108,7 +108,7 @@ def test_modulation_zero_weights_gives_zero():
     init_spapde_params(store, "m", in_channels=4, feat_channels=3, rng=rng)
     for _, p in store.items():
         p.data = np.zeros_like(p.data)
-    gamma, beta = spapde_modulation(np.random.default_rng(1).uniform(size=(4, 6, 6)), store, "m")
+    gamma, beta = spapde_modulation(np.random.default_rng(1).uniform(size=(1, 4, 6, 6)), store, "m")
     assert (gamma.data == 0).all() and (beta.data == 0).all()
 
 
@@ -119,9 +119,9 @@ def test_modulation_constant_on_zero_heatmaps():
     store["m.shared.b"].data = np.full(3, 0.7)   # relu-positive
     store["m.gamma.b"].data = np.full(3, -0.2)
     store["m.beta.b"].data = np.full(3, 0.4)
-    gamma, beta = spapde_modulation(np.zeros((4, 6, 6)), store, "m")
+    gamma, beta = spapde_modulation(np.zeros((1, 4, 6, 6)), store, "m")
     # interior pixels see identical receptive fields; borders differ (padding)
-    for arr in (gamma.data, beta.data):
+    for arr in (gamma.data[0], beta.data[0]):
         for c in range(arr.shape[0]):
             inner = arr[c, 1:-1, 1:-1]
             assert np.ptp(inner) < 1e-12
@@ -205,8 +205,8 @@ def test_embed_deterministic():
     crop = rng.uniform(size=(3, 16, 8))
     pose = pose_in_crop([[2, 3], [5, 8], [1, 12], [6, 6]])
     hm = render_heatmaps(pose, 16, 8, kernel_width=2.0)
-    e1 = appearance_embed_batch(crop[None], hm[None], store, cfg).data[0]
-    e2 = appearance_embed_batch(crop[None], hm[None], store, cfg).data[0]
+    e1 = appearance_embed_batch(crop[None], hm[None], store).data[0]
+    e2 = appearance_embed_batch(crop[None], hm[None], store).data[0]
     np.testing.assert_array_equal(e1, e2)
     assert e1.shape == (8,)
 
@@ -219,22 +219,13 @@ def test_embed_sensitive_to_pose(seed):
     crop = rng.uniform(size=(3, 16, 8))
     h1 = render_heatmaps(pose_in_crop([[1, 1], [2, 2], [1, 3], [3, 1]]), 16, 8, 2.0)
     h2 = render_heatmaps(pose_in_crop([[6, 14], [5, 12], [7, 10], [4, 13]]), 16, 8, 2.0)
-    e1 = appearance_embed_batch(crop[None], h1[None], store, cfg).data[0]
-    e2 = appearance_embed_batch(crop[None], h2[None], store, cfg).data[0]
+    e1 = appearance_embed_batch(crop[None], h1[None], store).data[0]
+    e2 = appearance_embed_batch(crop[None], h2[None], store).data[0]
     assert np.linalg.norm(e1 - e2) > 1e-6
 
 
 def test_embed_zero_everything_finite():
     cfg = small_cfg()
     store = build_backbone(cfg)
-    e = appearance_embed_batch(np.zeros((1, 3, 16, 8)), np.zeros((1, 4, 16, 8)), store, cfg)
+    e = appearance_embed_batch(np.zeros((1, 3, 16, 8)), np.zeros((1, 4, 16, 8)), store)
     assert np.isfinite(e.data[0]).all()
-
-
-def test_embed_batch_shape_checks():
-    cfg = small_cfg()
-    store = build_backbone(cfg)
-    with pytest.raises(ValueError, match="crop size"):
-        appearance_embed_batch(np.zeros((1, 3, 8, 8)), np.zeros((1, 4, 8, 8)), store, cfg)
-    with pytest.raises(ValueError, match=r"\(N, K, H, W\)"):
-        appearance_embed_batch(np.zeros((1, 3, 16, 8)), np.zeros((1, 2, 16, 8)), store, cfg)

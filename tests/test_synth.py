@@ -35,7 +35,7 @@ def test_output_passes_file_validation(scenario, tmp_path):
     save_sequence(synth_sequence(scenario, seed=0, cfg=CFG), path)
     seq = load_sequence(path)
     assert len(seq.frames) > 0
-    assert seq.keypoint_count() == CFG.keypoint_count
+    assert seq.frames[0].detections[0].pose.keypoint_count == CFG.keypoint_count
 
 
 def test_crossing_boxes_swap_with_high_iou():

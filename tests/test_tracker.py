@@ -215,7 +215,15 @@ def test_empty_frame_ages_everyone():
     result, state2, _ = step(state, [], model)
     assert result.assignments == [] and result.new_tracks == []
     assert all(t.frames_since_match == 1 for t in state2.tracks)
-    assert all(not t.active for t in state2.tracks)
+
+
+def test_wrong_keypoint_count_is_refused_on_its_frame():
+    # the OKS kappas are per keypoint of the config; a 5-keypoint pose at an
+    # 8-keypoint config is refused on arrival, not one frame later
+    model = TrackingModel(SMALL, seed=0)
+    det = make_detection(0, 0, np.random.default_rng(12), k=5, d=SMALL.d)
+    with pytest.raises(ValueError, match="detection 0: pose has 5 keypoints"):
+        step(TrackerState(), [det], model)
 
 
 def test_closure_exactly_after_tau_age():
@@ -351,8 +359,7 @@ def test_step_is_equivariant_in_detection_order(scenario, seed, perm_seed):
         assert sorted(to_plain[t.id] for t in shuffled.tracks) == sorted(plain_tracks)
         for t in shuffled.tracks:
             twin = plain_tracks[to_plain[t.id]]
-            assert (t.last_box, t.frames_since_match, t.active) == \
-                (twin.last_box, twin.frames_since_match, twin.active)
+            assert (t.last_box, t.frames_since_match) == (twin.last_box, twin.frames_since_match)
             np.testing.assert_allclose(t.embedding, twin.embedding, rtol=1e-9, atol=1e-12)
 
 
