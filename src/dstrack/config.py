@@ -1,6 +1,8 @@
 """Engine configuration and validation."""
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -39,7 +41,7 @@ class EngineConfig:
     """All tunables of the association engine in one place."""
 
     d: int = 256                      # embedding width
-    d_e: int = -1                     # edge path width; -1 means "same as d"
+    d_e: int = 32                     # edge path width
     keypoint_count: int = 15
     n_encoder_stages: int = 2
     n_decoder_stages: int = 2
@@ -54,16 +56,29 @@ class EngineConfig:
     crop_width: int = 32
 
     def __post_init__(self):
-        if self.d_e == -1:
-            object.__setattr__(self, "d_e", self.d)
-        if not self.oks_kappas:
-            object.__setattr__(self, "oks_kappas", default_kappas(self.keypoint_count))
-        else:
+        if self.oks_kappas:
             object.__setattr__(self, "oks_kappas", tuple(float(k) for k in self.oks_kappas))
+        elif isinstance(self.keypoint_count, int):
+            # a count of another type is left for validate_config to refuse
+            object.__setattr__(self, "oks_kappas", default_kappas(self.keypoint_count))
+
+
+_INT_FIELDS = ("d", "d_e", "keypoint_count", "n_encoder_stages", "n_decoder_stages",
+               "ffn_hidden", "tau_age", "crop_height", "crop_width")
+_REAL_FIELDS = ("alpha", "tau_dup", "heatmap_kernel_width")
 
 
 def validate_config(cfg: EngineConfig) -> EngineConfig:
     """Return cfg unchanged if every invariant holds; raise on the first violation."""
+    for name in _INT_FIELDS:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name in _REAL_FIELDS:
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     if not (0.0 <= cfg.alpha <= 1.0):
         raise ValueError("alpha out of range")
     if cfg.d <= 0:
@@ -86,6 +101,9 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ValueError("heatmap kernel width must be positive")
     if len(cfg.oks_kappas) != cfg.keypoint_count:
         raise ValueError("kappa count must match keypoint count")
+    for i, k in enumerate(cfg.oks_kappas):
+        if not math.isfinite(k):
+            raise ValueError(f"oks_kappas[{i}] must be finite, got {k}")
     if any(k <= 0 for k in cfg.oks_kappas):
         raise ValueError("kappas must be strictly positive")
     if cfg.edge_update_mode not in ("features", "weights"):

@@ -507,3 +507,58 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "JSON object" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("d_e", -1, "edge width d_e must be positive"),
+    ("d_e", 32.5, "d_e must be an integer, got 32.5"),
+    ("d", True, "d must be an integer, got True"),
+    ("keypoint_count", 8.5, "keypoint_count must be an integer, got 8.5"),
+    ("tau_age", 1.5, "tau_age must be an integer, got 1.5"),
+    ("crop_height", 64.0, "crop_height must be an integer, got 64.0"),
+    ("alpha", float("nan"), "alpha must be a finite number, got nan"),
+    ("tau_dup", float("inf"), "tau_dup must be a finite number, got inf"),
+    ("heatmap_kernel_width", float("nan"),
+     "heatmap_kernel_width must be a finite number, got nan"),
+    ("heatmap_kernel_width", "10", "heatmap_kernel_width must be a finite number, got '10'"),
+    ("oks_kappas", [float("nan")] + [0.08] * 7, "oks_kappas[0] must be finite, got nan"),
+], ids=["d_e_negative", "d_e_fraction", "d_bool", "keypoint_count_fraction",
+        "tau_age_fraction", "crop_height_float", "alpha_nan", "tau_dup_inf",
+        "heatmap_kernel_width_nan", "heatmap_kernel_width_string", "kappa_nan"])
+def test_bad_config_value_is_usage_error(tmp_path, cfg_path, capsys, field, value, message):
+    # refused when the config is read, before any frame runs or any file is written
+    seq = short_sequence(tmp_path, cfg_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL_CFG, **{field: value})))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    for argv in (["track", str(seq), "--config", str(bad)],
+                 ["synth", "--scenario", "crowd", "--frames", "2", "--crops",
+                  "--config", str(bad), "--out", str(out)]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert not out.exists()
+
+
+def test_checkpoint_of_the_old_default_edge_width(tmp_path, capsys):
+    # d_e once defaulted to d, so a checkpoint written then has a d_e wide
+    # edge path (256 at the default d) where the config now gives 32; it
+    # loads again once the config names its width
+    base = {k: v for k, v in SMALL_CFG.items() if k != "d_e"}
+    new_cfg, old_cfg = tmp_path / "new.json", tmp_path / "old.json"
+    new_cfg.write_text(json.dumps(base))
+    old_cfg.write_text(json.dumps(dict(base, d_e=256)))
+    seq = short_sequence(tmp_path, str(new_cfg))
+    old = TrackingModel(dataclasses.replace(SMALL, d_e=256))
+    ckpt = tmp_path / "old.ckpt"
+    nn.save_checkpoint(str(ckpt), old.store.state_dict())
+    capsys.readouterr()
+    assert run(["track", str(seq), "--config", str(new_cfg), "--weights", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {ckpt}: ")
+    assert "edge_head" in err
+    res = tmp_path / "res.jsonl"
+    assert run(["track", str(seq), "--config", str(old_cfg), "--weights", str(ckpt),
+                "--out", str(res)]) == 0
+    assert len(res.read_text().strip().splitlines()) == 3

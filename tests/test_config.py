@@ -7,7 +7,7 @@ def test_defaults_accepted():
     cfg = EngineConfig()
     assert validate_config(cfg) is cfg
     assert cfg.d == 256
-    assert cfg.d_e == 256
+    assert cfg.d_e == 32
     assert cfg.alpha == 0.3
     assert cfg.tau_dup == 0.4
     assert cfg.tau_age == 60
@@ -72,6 +72,8 @@ def test_tau_and_dims():
         validate_config(EngineConfig(crop_height=62))
 
 
-def test_d_e_follows_d_unless_set():
-    assert EngineConfig(d=32).d_e == 32
-    assert EngineConfig(d=32, d_e=8).d_e == 8
+def test_d_e_does_not_follow_d():
+    assert EngineConfig(d=64).d_e == 32
+    assert EngineConfig(d=64, d_e=8).d_e == 8
+    with pytest.raises(ValueError, match="edge width d_e must be positive"):
+        validate_config(EngineConfig(d_e=-1))

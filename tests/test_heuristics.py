@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from dstrack import nn
+from dstrack.config import EngineConfig
 from dstrack.heuristics import build_heuristic_model
 from dstrack.tracker import TrackerState, step
 from small_config import SMALL as CFG
+
+# the edge readout is fitted per config: check it at the small test config
+# and at the default one
+EDGE_CONFIGS = pytest.mark.parametrize("cfg", [CFG, EngineConfig()],
+                                       ids=["small", "default"])
 
 
 @pytest.fixture(scope="module")
@@ -18,10 +24,10 @@ def model():
 
 
 @functools.lru_cache(maxsize=None)
-def model_at(alpha):
+def model_at(alpha, cfg=CFG):
     """The heuristic model with the blend set to alpha; its weights do not
     depend on alpha."""
-    return build_heuristic_model(dataclasses.replace(CFG, alpha=alpha))
+    return build_heuristic_model(dataclasses.replace(cfg, alpha=alpha))
 
 
 def final_edge_logit(model, features):
@@ -31,22 +37,24 @@ def final_edge_logit(model, features):
     make every appearance logit zero."""
     f = np.asarray(features, dtype=np.float64)
     s = model.store
+    d = model.cfg.d
     o_edge = nn.linear(model.edge_head(f[None]), s["edge_head.w3"], s["edge_head.b3"])
     o_edge = nn.reshape(o_edge, (1, len(f)))
-    _, o_edge, _ = model.decoder_forward(np.zeros((1, CFG.d)), o_edge,
-                                         np.zeros((len(f), CFG.d)))
+    _, o_edge, _ = model.decoder_forward(np.zeros((1, d)), o_edge, np.zeros((len(f), d)))
     return o_edge.data[0]
 
 
-def test_edge_calibration_residual_small(model):
-    assert model.edge_fit_residual < 0.02
+@EDGE_CONFIGS
+def test_edge_calibration_residual_small(cfg):
+    assert model_at(cfg.alpha, cfg).edge_fit_residual < 0.02
 
 
-def test_edge_logit_monotone_in_mean_feature(model):
+@EDGE_CONFIGS
+def test_edge_logit_monotone_in_mean_feature(cfg):
     s = np.linspace(0.0, 1.0, 21)
     feats = np.column_stack([s, s, s, s])
     for alpha in (0.0, 0.3, 0.7):
-        logits = final_edge_logit(model_at(alpha), feats)
+        logits = final_edge_logit(model_at(alpha, cfg), feats)
         assert np.all(np.diff(logits) > 0)
 
 
@@ -60,10 +68,11 @@ def test_edge_logit_monotone_per_feature(model):
         assert l_hi > l_lo
 
 
-def test_edge_logit_sign_convention(model):
+@EDGE_CONFIGS
+def test_edge_logit_sign_convention(cfg):
     # zero similarity sits below the null logit, strong similarity far above
-    z = final_edge_logit(model_at(0.0), np.zeros((1, 4)))[0]
-    s = final_edge_logit(model_at(0.0), np.full((1, 4), 0.9))[0]
+    z = final_edge_logit(model_at(0.0, cfg), np.zeros((1, 4)))[0]
+    s = final_edge_logit(model_at(0.0, cfg), np.full((1, 4), 0.9))[0]
     assert z < 0.0 < s
     assert s > 3.0
 
