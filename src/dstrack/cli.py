@@ -11,13 +11,14 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from typing import List, Optional
 
 import numpy as np
 
 from . import nn
-from .config import EngineConfig, validate_config
+from .config import EngineConfig
 from .evaluate import evaluate
 from .gradsuite import format_outcomes, run_suite, suite_passed
 from .heuristics import build_heuristic_model
@@ -32,12 +33,31 @@ from .sequence_io import (
 )
 from .synth import SCENARIOS, synth_sequence
 from .tracker import check_detections, run_sequence
-from .training import LrSchedule, labeled_frames, train_toy
+from .training import TOY_LR, labeled_frames, train_toy
 from .transformer import TrackingModel
 
 
 class UsageError(Exception):
     pass
+
+
+def _ranged(kind, ok, wanted: str):
+    """argparse type: a `kind` value for which `ok` holds; any other value
+    exits 2 with argparse's line naming the flag."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse says "invalid int value: ..."
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 1, "at least 1")
+_NON_NEGATIVE = _ranged(int, lambda v: v >= 0, "non-negative")
+_RATE = _ranged(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_SPREAD = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+_PROBABILITY = _ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,16 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="associate detections over a sequence")
     p.add_argument("sequence", help="input sequence JSON")
     p.add_argument("--weights", help="checkpoint; omitted = untrained baseline")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.add_argument("--out", help="JSONL output path (default stdout)")
     p.add_argument("--config", help="JSON file of engine config overrides")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("train", help="toy-scale training on labeled sequences")
     p.add_argument("sequences", nargs="+", help="labeled sequence JSON files")
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--lr", type=float, help="override the toy learning rate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=_COUNT, default=200)
+    p.add_argument("--lr", type=_RATE, default=TOY_LR, help="base learning rate")
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.add_argument("--out", default="model.ckpt", help="checkpoint output path")
     p.add_argument("--curve", help="loss curve CSV output path")
     p.add_argument("--config", help="JSON file of engine config overrides")
@@ -70,18 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference the whole model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=5, help="instances per check")
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p.add_argument("--seeds", type=_COUNT, default=5, help="instances per check")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled sequence")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    p.add_argument("--frames", type=int, help="sequence length")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--separation", type=float, default=6.0,
+    p.add_argument("--frames", type=_COUNT, help="sequence length")
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p.add_argument("--separation", type=_SPREAD, default=6.0,
                    help="appearance cluster separation")
-    p.add_argument("--gap", type=int, default=10, help="occlusion length")
-    p.add_argument("--duplicate-prob", type=float, default=0.5, dest="duplicate_prob")
+    p.add_argument("--gap", type=_NON_NEGATIVE, default=10, help="occlusion length")
+    p.add_argument("--duplicate-prob", type=_PROBABILITY, default=0.5)
     p.add_argument("--crops", action="store_true",
                    help="emit image crops instead of appearance vectors, "
                         "routing the tracker through the backbone")
@@ -104,14 +124,10 @@ def _load_config(path: Optional[str]) -> EngineConfig:
         unknown = set(fields) - {f.name for f in dataclasses.fields(EngineConfig)}
         if unknown:
             raise UsageError(f"unknown config fields {sorted(unknown)}")
-        if "oks_kappas" in fields:
-            fields["oks_kappas"] = tuple(fields["oks_kappas"])
     try:
-        cfg = EngineConfig(**fields)
-        validate_config(cfg)
+        return EngineConfig(**fields)
     except (TypeError, ValueError) as e:
         raise UsageError(str(e))
-    return cfg
 
 
 @contextlib.contextmanager
@@ -171,14 +187,11 @@ def cmd_track(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     seqs = [labeled_frames(_load_sequence(p, cfg)) for p in args.sequences]
-    schedule = LrSchedule(lr=args.lr) if args.lr is not None else None
-    model, curve = train_toy(seqs, cfg, seed=args.seed, n_iters=args.iters,
-                             schedule=schedule)
+    model, curve = train_toy(seqs, cfg, seed=args.seed, n_iters=args.iters, lr=args.lr)
     nn.save_checkpoint(args.out, model.store.state_dict())
     if args.curve:
         write_loss_csv(curve, args.curve)
-    last = curve[-1].total if curve else float("nan")
-    print(f"trained {args.iters} iterations, final loss {last:.6f}, "
+    print(f"trained {args.iters} iterations, final loss {curve[-1].total:.6f}, "
           f"checkpoint {args.out}")
     return 0
 

@@ -6,8 +6,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 # COCO per-keypoint falloff constants (nose, eyes, ears, shoulders, elbows,
 # wrists, hips, knees, ankles), used directly when K = 17.
 COCO_KAPPAS = (
@@ -56,11 +54,7 @@ class EngineConfig:
     crop_width: int = 32
 
     def __post_init__(self):
-        if self.oks_kappas:
-            object.__setattr__(self, "oks_kappas", tuple(float(k) for k in self.oks_kappas))
-        elif isinstance(self.keypoint_count, int):
-            # a count of another type is left for validate_config to refuse
-            object.__setattr__(self, "oks_kappas", default_kappas(self.keypoint_count))
+        validate_config(self)
 
 
 _INT_FIELDS = ("d", "d_e", "keypoint_count", "n_encoder_stages", "n_decoder_stages",
@@ -69,7 +63,10 @@ _REAL_FIELDS = ("alpha", "tau_dup", "heatmap_kernel_width")
 
 
 def validate_config(cfg: EngineConfig) -> EngineConfig:
-    """Return cfg unchanged if every invariant holds; raise on the first violation."""
+    """Return cfg if every invariant holds; raise ValueError on the first
+    violation.  Every EngineConfig runs this when built, which also turns
+    oks_kappas into a tuple of floats, or into default_kappas(keypoint_count)
+    when it is empty."""
     for name in _INT_FIELDS:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int):
@@ -79,6 +76,13 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                 or not math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not isinstance(cfg.oks_kappas, (list, tuple)):
+        raise ValueError(f"oks_kappas must be a list of numbers, got {cfg.oks_kappas!r}")
+    for i, k in enumerate(cfg.oks_kappas):
+        if isinstance(k, bool) or not isinstance(k, numbers.Real):
+            raise ValueError(f"oks_kappas[{i}] must be a number, got {k!r}")
+    object.__setattr__(cfg, "oks_kappas", tuple(float(k) for k in cfg.oks_kappas)
+                       or default_kappas(cfg.keypoint_count))
     if not (0.0 <= cfg.alpha <= 1.0):
         raise ValueError("alpha out of range")
     if cfg.d <= 0:
@@ -114,7 +118,3 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         # three 2x2 pooling stages in the toy backbone
         raise ValueError("crop dims must be divisible by 8")
     return cfg
-
-
-def kappa_array(cfg: EngineConfig) -> np.ndarray:
-    return np.asarray(cfg.oks_kappas, dtype=np.float64)

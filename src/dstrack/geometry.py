@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import EngineConfig, kappa_array
+from .config import EngineConfig
 from .datatypes import Box, Pose
 
 
@@ -114,5 +114,5 @@ def edge_features(tracks, dets, cfg: EngineConfig) -> np.ndarray:
     out = np.empty((len(tracks), len(dets), 4))
     out[..., 0] = iou_grid(track_boxes, [d.box for d in dets])
     out[..., 1:] = oks_grid([t.last_pose for t in tracks], [d.pose for d in dets],
-                            [b.area for b in track_boxes], kappa_array(cfg))
+                            [b.area for b in track_boxes], cfg.oks_kappas)
     return out

@@ -21,6 +21,7 @@ SCENARIOS = ("crossing", "occlusion", "duplicates", "crowd")
 
 BOX_W = 40.0
 BOX_H = 80.0
+APPEARANCE_NOISE = 0.3  # std of the per-detection appearance noise
 
 _DEFAULT_FRAMES = {"crossing": 41, "occlusion": 40, "duplicates": 40, "crowd": 30}
 
@@ -51,11 +52,9 @@ class _Scene:
     """Accumulates frames for one synthetic sequence."""
 
     def __init__(self, scenario: str, seed: int, cfg: EngineConfig,
-                 n_ident: int, separation: float, noise: float,
-                 crops: bool = False):
+                 n_ident: int, separation: float, crops: bool = False):
         self.rng = np.random.default_rng(seed)
         self.cfg = cfg
-        self.noise = noise
         self.centers = _identity_centers(self.rng, n_ident, cfg.d, separation)
         self.templates = [_pose_template(self.rng, cfg.keypoint_count)
                           for _ in range(n_ident)]
@@ -83,10 +82,10 @@ class _Scene:
                     visible=np.ones(k, dtype=bool))
         if self.crop_bases is not None:
             crop = (self.crop_bases[ident]
-                    + 0.1 * self.noise * self.rng.standard_normal(
+                    + 0.1 * APPEARANCE_NOISE * self.rng.standard_normal(
                         self.crop_bases[ident].shape))
             return Detection(box=box, pose=pose, crop=crop)
-        appearance = self.centers[ident] + self.noise * self.rng.standard_normal(self.cfg.d)
+        appearance = self.centers[ident] + APPEARANCE_NOISE * self.rng.standard_normal(self.cfg.d)
         return Detection(box=box, pose=pose, appearance=appearance)
 
     def add_frame(self, index: int, people: List[Tuple[int, float, float]],
@@ -110,8 +109,8 @@ class _Scene:
 
 def synth_sequence(scenario: str, n_frames: Optional[int] = None, seed: int = 0,
                    cfg: Optional[EngineConfig] = None, separation: float = 6.0,
-                   appearance_noise: float = 0.3, gap: int = 10,
-                   duplicate_prob: float = 0.5, crops: bool = False) -> SequenceFile:
+                   gap: int = 10, duplicate_prob: float = 0.5,
+                   crops: bool = False) -> SequenceFile:
     """Build a labeled scenario sequence.
 
     Detections normally carry appearance vectors; with crops=True they
@@ -134,19 +133,18 @@ def synth_sequence(scenario: str, n_frames: Optional[int] = None, seed: int = 0,
         extra["gap"] = gap
     if scenario == "duplicates":
         extra["duplicate_prob"] = duplicate_prob
-    return builder(n_frames, seed, cfg, separation, appearance_noise,
-                   crops=crops, **extra)
+    return builder(n_frames, seed, cfg, separation, crops=crops, **extra)
 
 
-def _crossing(n_frames, seed, cfg, separation, noise, crops=False) -> SequenceFile:
+def _crossing(n_frames, seed, cfg, separation, crops=False) -> SequenceFile:
     """Two identities swap x positions; their paths meet mid-sequence with
     heavy box overlap, but a slight constant y offset keeps the true
     continuation geometrically favored."""
-    sc = _Scene("crossing", seed, cfg, 2, separation, noise, crops)
+    sc = _Scene("crossing", seed, cfg, 2, separation, crops)
     size = (256, 512)
     cy = 128.0
     for t in range(n_frames):
-        u = t / (n_frames - 1)
+        u = t / max(n_frames - 1, 1)
         xa = 100.0 + 200.0 * u
         xb = 300.0 - 200.0 * u
         sc.add_frame(t, [(0, xa, cy - 5.0), (1, xb, cy + 5.0)], size)
@@ -162,10 +160,10 @@ def crossing_frame(seq: SequenceFile) -> int:
     return int(np.argmin(gaps))
 
 
-def _occlusion(n_frames, seed, cfg, separation, noise, crops=False, gap=10) -> SequenceFile:
+def _occlusion(n_frames, seed, cfg, separation, crops=False, gap=10) -> SequenceFile:
     """Identity 1 vanishes for `gap` frames while continuing to move, so it
     reappears displaced well clear of its stale box."""
-    sc = _Scene("occlusion", seed, cfg, 2, separation, noise, crops)
+    sc = _Scene("occlusion", seed, cfg, 2, separation, crops)
     size = (256, 512)
     start = n_frames // 3
     for t in range(n_frames):
@@ -182,12 +180,11 @@ def occlusion_window(seq: SequenceFile, ident: int = 1) -> Tuple[int, int]:
     return (absent[0], absent[-1] + 1) if absent else (0, 0)
 
 
-def _duplicates(n_frames, seed, cfg, separation, noise, crops=False,
-                duplicate_prob=0.5) -> SequenceFile:
+def _duplicates(n_frames, seed, cfg, separation, crops=False, duplicate_prob=0.5) -> SequenceFile:
     """Steady two-person motion with random frames carrying one jittered
     duplicate of an existing detection.  Frame 0 never carries one: with no
     tracks established yet, a duplicate is indistinguishable from a person."""
-    sc = _Scene("duplicates", seed, cfg, 2, separation, noise, crops)
+    sc = _Scene("duplicates", seed, cfg, 2, separation, crops)
     size = (256, 512)
     for t in range(n_frames):
         people = [(0, 80.0 + 3.0 * t, 64.0), (1, 420.0 - 3.0 * t, 192.0)]
@@ -204,10 +201,10 @@ def _duplicates(n_frames, seed, cfg, separation, noise, crops=False,
     return sc.build()
 
 
-def _crowd(n_frames, seed, cfg, separation, noise, crops=False) -> SequenceFile:
+def _crowd(n_frames, seed, cfg, separation, crops=False) -> SequenceFile:
     """Eight identities in two rows with spacing below the box width, so
     horizontal neighbors always overlap; everyone oscillates."""
-    sc = _Scene("crowd", seed, cfg, 8, separation, noise, crops)
+    sc = _Scene("crowd", seed, cfg, 8, separation, crops)
     size = (288, 512)
     for t in range(n_frames):
         people = []

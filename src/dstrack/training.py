@@ -14,9 +14,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
-from .config import EngineConfig, kappa_array
-from .datatypes import Box, Detection, Pose
+from .config import EngineConfig
+from .datatypes import Box, Pose
 from .geometry import edge_features, oks_grid
+from .sequence_io import SequenceFrame
 from .tracker import detection_embeddings
 from .transformer import TrackingModel
 
@@ -31,6 +32,7 @@ TOY_DECAY_FACTOR = 10
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_WEIGHT_DECAY = 0.01
 
 DUPLICATE_PROB = 0.3
 DUPLICATE_SCALE_JITTER = 0.05
@@ -130,30 +132,22 @@ def total_loss(match_term: nn.Tensor, enc_terms: Sequence[nn.Tensor],
 # ---------------------------------------------------------------------------
 # optimizer
 
-@dataclass
-class LrSchedule:
-    lr: float = TOY_LR
-    warmup_iters: int = TOY_WARMUP_ITERS
-    decay_at: Optional[int] = TOY_DECAY_AT
-    decay_factor: float = TOY_DECAY_FACTOR
-
-    def at(self, it: int) -> float:
-        lr = self.lr
-        if self.warmup_iters > 0:
-            lr *= min(1.0, (it + 1) / self.warmup_iters)
-        if self.decay_at is not None and it >= self.decay_at:
-            lr /= self.decay_factor
-        return lr
+def toy_lr(lr: float, it: int) -> float:
+    """Rate at iteration `it` (from 0): a linear warm-up to `lr` over
+    TOY_WARMUP_ITERS iterations, divided by TOY_DECAY_FACTOR from TOY_DECAY_AT."""
+    lr *= min(1.0, (it + 1) / TOY_WARMUP_ITERS)
+    if it >= TOY_DECAY_AT:
+        lr /= TOY_DECAY_FACTOR
+    return lr
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive-moments optimizer."""
+    """Decoupled-weight-decay adaptive-moments optimizer on the toy_lr
+    schedule of the base rate `lr`."""
 
-    def __init__(self, store: nn.ParamStore, schedule: LrSchedule,
-                 weight_decay: float = 0.01):
+    def __init__(self, store: nn.ParamStore, lr: float):
         self.store = store
-        self.schedule = schedule
-        self.weight_decay = weight_decay
+        self.lr = lr
         self.step_count = 0
         self._m = {k: np.zeros_like(t.data) for k, t in store.items()}
         self._v = {k: np.zeros_like(t.data) for k, t in store.items()}
@@ -161,7 +155,7 @@ class AdamW:
     def step(self):
         """One update of every tensor that has a gradient, run over their
         concatenated elements; tensors whose grad is None stay untouched."""
-        lr = self.schedule.at(self.step_count)
+        lr = toy_lr(self.lr, self.step_count)
         self.step_count += 1
         t = self.step_count
         live = [(name, param) for name, param in self.store.items() if param.grad is not None]
@@ -175,7 +169,7 @@ class AdamW:
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        data = data - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * data)
+        data = data - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + ADAM_WEIGHT_DECAY * data)
         offset = 0
         for name, param in live:
             shape, end = param.data.shape, offset + param.data.size
@@ -189,12 +183,6 @@ class AdamW:
 # toy trainer
 
 @dataclass
-class LabeledFrame:
-    detections: List[Detection]
-    identities: List[Optional[int]]
-
-
-@dataclass
 class LossRow:
     iteration: int
     match: float
@@ -203,12 +191,12 @@ class LossRow:
     total: float
 
 
-def inject_duplicate(frame: LabeledFrame, rng: np.random.Generator,
-                     prob: float = DUPLICATE_PROB) -> LabeledFrame:
-    """With the configured probability, append a jittered copy of one labeled
-    detection, sharing its identity."""
+def inject_duplicate(frame: SequenceFrame, rng: np.random.Generator) -> SequenceFrame:
+    """With probability DUPLICATE_PROB, return a copy of the frame with a
+    jittered copy of one labeled detection appended, sharing its identity
+    and listed among the frame's duplicates."""
     labeled = [i for i, ident in enumerate(frame.identities) if ident is not None]
-    if not labeled or rng.uniform() >= prob:
+    if not labeled or rng.uniform() >= DUPLICATE_PROB:
         return frame
     src_idx = int(rng.choice(labeled))
     src = frame.detections[src_idx]
@@ -224,9 +212,11 @@ def inject_duplicate(frame: LabeledFrame, rng: np.random.Generator,
     coords = (src.pose.coords - center) * scale + np.array([cx, cy])
     pose = Pose(coords=coords, conf=src.pose.conf, visible=src.pose.visible)
     dup = dataclasses.replace(src, box=box, pose=pose)
-    return LabeledFrame(
+    return dataclasses.replace(
+        frame,
         detections=list(frame.detections) + [dup],
         identities=list(frame.identities) + [frame.identities[src_idx]],
+        duplicates=frame.duplicates + (len(frame.detections),),
     )
 
 
@@ -238,7 +228,7 @@ class _TeacherTrack:
     last_box: Box
 
 
-def _frame_labels(frame: LabeledFrame, cfg: EngineConfig) -> IdentityLabels:
+def _frame_labels(frame: SequenceFrame, cfg: EngineConfig) -> IdentityLabels:
     """Recover detection identities by greedy OKS matching against the
     frame's own labeled poses (canonical detections, duplicates excluded),
     then copy identities onto injected duplicates by index."""
@@ -251,7 +241,7 @@ def _frame_labels(frame: LabeledFrame, cfg: EngineConfig) -> IdentityLabels:
     gt_boxes = [frame.detections[canonical[g]].box for g in gt_ids]
     labels = greedy_identity_assignment(
         [d.pose for d in frame.detections], gt_poses, gt_ids, gt_boxes,
-        kappa_array(cfg))
+        cfg.oks_kappas)
     # injected duplicates carry their identity explicitly; trust the metadata
     merged = list(labels.det_identity)
     for i, ident in enumerate(frame.identities):
@@ -268,11 +258,9 @@ def _encoder_groups(labels: IdentityLabels) -> List[List[int]]:
     return out
 
 
-def labeled_frames(seq) -> List[LabeledFrame]:
-    """Adapt a loaded sequence file (anything with .frames carrying
-    .detections/.identities) to the trainer's input."""
-    return [LabeledFrame(list(fr.detections), list(fr.identities))
-            for fr in seq.frames]
+def labeled_frames(seq) -> List[SequenceFrame]:
+    """The frames of a loaded sequence file, as train_toy takes them."""
+    return list(seq.frames)
 
 
 def subsequences(n_frames: int):
@@ -280,9 +268,8 @@ def subsequences(n_frames: int):
     return list(range(0, n_frames - 2, 2))
 
 
-def train_toy(sequences: Sequence[Sequence[LabeledFrame]], cfg: EngineConfig,
-              seed: int = 0, n_iters: int = 200,
-              schedule: Optional[LrSchedule] = None,
+def train_toy(sequences: Sequence[Sequence[SequenceFrame]], cfg: EngineConfig,
+              seed: int = 0, n_iters: int = 200, lr: float = TOY_LR,
               model: Optional[TrackingModel] = None,
               ) -> Tuple[TrackingModel, List[LossRow]]:
     """Train the association model on labeled sequences.
@@ -290,16 +277,17 @@ def train_toy(sequences: Sequence[Sequence[LabeledFrame]], cfg: EngineConfig,
     Each iteration draws one 3-frame window, teacher-forces track states
     through it, accumulates the matching and attention losses of both
     transitions (plus encoder losses on every frame), and takes one
-    optimizer step.  Returns the model and the per-iteration loss curve.
-    Without a given model, one with the backbone is built when some detection
-    has only a crop, so those losses train the backbone too.
+    AdamW step at toy_lr(lr, iteration).  Returns the model and the
+    per-iteration loss curve.  Without a given model, one with the backbone
+    is built when some detection has only a crop, so those losses train the
+    backbone too.
     """
     rng = np.random.default_rng(seed)
     if model is None:
         crops = any(d.appearance is None for seq in sequences for fr in seq
                     for d in fr.detections)
         model = TrackingModel(cfg, seed=seed, with_backbone=crops)
-    opt = AdamW(model.store, schedule or LrSchedule())
+    opt = AdamW(model.store, lr)
 
     windows = [(si, start) for si, seq in enumerate(sequences)
                for start in subsequences(len(seq))]
@@ -321,7 +309,7 @@ def train_toy(sequences: Sequence[Sequence[LabeledFrame]], cfg: EngineConfig,
     return model, curve
 
 
-def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
+def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
                   cfg: EngineConfig, iteration: int) -> LossRow:
     n_enc = cfg.n_encoder_stages
     n_dec = cfg.n_decoder_stages
@@ -367,7 +355,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[LabeledFrame],
 
 
 def _advance_state(model: TrackingModel, e_t: nn.Tensor, enc_out: nn.Tensor,
-                   frame: LabeledFrame, labels: IdentityLabels, track_ids: List[int],
+                   frame: SequenceFrame, labels: IdentityLabels, track_ids: List[int],
                    teacher: List[_TeacherTrack]):
     """Ground-truth-matched update: existing tracks keep their embedding row
     of e_t and adopt the canonical detection geometry; unseen identities open

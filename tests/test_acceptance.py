@@ -33,9 +33,8 @@ def track_seq(seq, model):
     return [(i, r) for i, r, _ in run_sequence(seq.detection_frames(), model)]
 
 
-def crowd(seed, separation=6.0, noise=0.3):
-    return synth_sequence("crowd", seed=seed, cfg=SMALL,
-                          separation=separation, appearance_noise=noise)
+def crowd(seed):
+    return synth_sequence("crowd", seed=seed, cfg=SMALL)
 
 
 # ---------------------------------------------------------------------------

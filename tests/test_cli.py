@@ -163,6 +163,57 @@ def test_train_writes_checkpoint_and_curve(tmp_path, cfg_path, capsys):
     assert len(res.read_text().strip().splitlines()) == 30
 
 
+def test_train_lr_default_is_the_toy_rate(tmp_path, cfg_path, capsys):
+    seq = tmp_path / "crowd.json"
+    run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "5",
+         "--config", cfg_path, "--out", str(seq)])
+    curves = []
+    for extra in ([], ["--lr", "0.003"]):
+        curve = tmp_path / f"curve{len(curves)}.csv"
+        assert run(["train", str(seq), "--config", cfg_path, "--iters", "3",
+                    "--out", str(tmp_path / "m.ckpt"), "--curve", str(curve)] + extra) == 0
+        curves.append(curve.read_bytes())
+    capsys.readouterr()
+    assert curves[0] == curves[1]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--scenario", "crowd", "--frames", "-2"], "--frames"),
+    (["synth", "--scenario", "crowd", "--frames", "0"], "--frames"),
+    (["synth", "--scenario", "crowd", "--seed", "-1"], "--seed"),
+    (["synth", "--scenario", "occlusion", "--gap", "-3"], "--gap"),
+    (["synth", "--scenario", "duplicates", "--duplicate-prob", "7"], "--duplicate-prob"),
+    (["synth", "--scenario", "duplicates", "--duplicate-prob", "nan"], "--duplicate-prob"),
+    (["synth", "--scenario", "crowd", "--separation", "nan"], "--separation"),
+    (["synth", "--scenario", "crowd", "--separation", "-1"], "--separation"),
+    (["train", "SEQ", "--iters", "0"], "--iters"),
+    (["train", "SEQ", "--iters", "-3"], "--iters"),
+    (["train", "SEQ", "--lr", "nan"], "--lr"),
+    (["train", "SEQ", "--lr", "inf"], "--lr"),
+    (["train", "SEQ", "--lr", "-1"], "--lr"),
+    (["train", "SEQ", "--lr", "0"], "--lr"),
+    (["train", "SEQ", "--seed", "-1"], "--seed"),
+    (["track", "SEQ", "--seed", "-1"], "--seed"),
+    (["gradcheck", "--seed", "-1"], "--seed"),
+    (["gradcheck", "--seeds", "0"], "--seeds"),
+    (["synth", "--scenario", "crowd", "--frames", "two"], "--frames"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, cfg_path, capsys, argv, flag):
+    # refused where it enters: exit 2, naming the flag, writing nothing
+    seq = short_sequence(tmp_path, cfg_path)
+    out = tmp_path / "out"
+    argv = [str(seq) if a == "SEQ" else a for a in argv]
+    if argv[0] != "gradcheck":
+        argv += ["--config", cfg_path, "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_crops_route_through_backbone(tmp_path, capsys):
     cfg = dict(SMALL_CFG, crop_height=16, crop_width=8)
     p = tmp_path / "cfg.json"
@@ -522,9 +573,13 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
      "heatmap_kernel_width must be a finite number, got nan"),
     ("heatmap_kernel_width", "10", "heatmap_kernel_width must be a finite number, got '10'"),
     ("oks_kappas", [float("nan")] + [0.08] * 7, "oks_kappas[0] must be finite, got nan"),
+    ("oks_kappas", 0.1, "oks_kappas must be a list of numbers, got 0.1"),
+    ("oks_kappas", "0.1", "oks_kappas must be a list of numbers, got '0.1'"),
+    ("oks_kappas", ["x"] + [0.08] * 7, "oks_kappas[0] must be a number, got 'x'"),
 ], ids=["d_e_negative", "d_e_fraction", "d_bool", "keypoint_count_fraction",
         "tau_age_fraction", "crop_height_float", "alpha_nan", "tau_dup_inf",
-        "heatmap_kernel_width_nan", "heatmap_kernel_width_string", "kappa_nan"])
+        "heatmap_kernel_width_nan", "heatmap_kernel_width_string", "kappa_nan",
+        "kappas_number", "kappas_string", "kappa_string"])
 def test_bad_config_value_is_usage_error(tmp_path, cfg_path, capsys, field, value, message):
     # refused when the config is read, before any frame runs or any file is written
     seq = short_sequence(tmp_path, cfg_path)

@@ -10,7 +10,7 @@ from scipy.special import erf
 
 from dstrack import nn
 from dstrack.config import EngineConfig
-from dstrack.gradsuite import CHECKS
+from dstrack.gradsuite import CHECKS, TOL, CheckOutcome, suite_passed
 from dstrack.spapde import init_backbone_params
 
 
@@ -395,6 +395,13 @@ def test_gradsuite_covers_every_op_the_engine_calls():
     checked = {op for name, _ in CHECKS if name.startswith("op ")
                for op in name.split()[1].split("+")}
     assert used - plumbing - checked == set()
+
+
+def test_suite_passed_needs_a_check_that_ran():
+    assert not suite_passed([])
+    assert suite_passed([CheckOutcome("op add", 0, 0.0)])
+    assert not suite_passed([CheckOutcome("op add", 0, 0.0),
+                             CheckOutcome("op mul", 0, 2 * TOL)])
 
 
 def _check(fn, *arrays, seed=0, tol=1e-4):

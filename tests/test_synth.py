@@ -38,6 +38,13 @@ def test_output_passes_file_validation(scenario, tmp_path):
     assert seq.frames[0].detections[0].pose.keypoint_count == CFG.keypoint_count
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_one_frame_sequence(scenario):
+    seq = synth_sequence(scenario, n_frames=1, seed=0, cfg=CFG)
+    assert [fr.index for fr in seq.frames] == [0]
+    assert seq.frames[0].detections
+
+
 def test_crossing_boxes_swap_with_high_iou():
     seq = synth_sequence("crossing", seed=0, cfg=CFG)
     k = crossing_frame(seq)

@@ -7,19 +7,20 @@ import pytest
 from dstrack import nn
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
+from dstrack.sequence_io import SequenceFrame
 from dstrack.synth import synth_sequence
 from dstrack.training import (
+    DUPLICATE_PROB,
     GREEDY_OKS_FLOOR,
     AdamW,
     IdentityLabels,
-    LabeledFrame,
-    LrSchedule,
     greedy_identity_assignment,
     inject_duplicate,
     labeled_frames,
     loss_attn,
     loss_match,
     subsequences,
+    toy_lr,
     total_loss,
     train_toy,
 )
@@ -235,7 +236,7 @@ def test_adamw_zero_lr_keeps_weights_bitwise():
     store = nn.ParamStore()
     w = store.create("w", (3, 3), np.random.default_rng(0))
     before = w.data.copy()
-    opt = AdamW(store, LrSchedule(lr=0.0, warmup_iters=0, decay_at=None))
+    opt = AdamW(store, 0.0)
     loss = nn.reduce_sum(nn.mul(w, w))
     loss.backward()
     opt.step()
@@ -245,8 +246,7 @@ def test_adamw_zero_lr_keeps_weights_bitwise():
 def test_adamw_descends_quadratic():
     store = nn.ParamStore()
     w = store.create("w", (4,), np.random.default_rng(1))
-    opt = AdamW(store, LrSchedule(lr=0.05, warmup_iters=0, decay_at=None),
-                weight_decay=0.0)
+    opt = AdamW(store, 0.05)
     for _ in range(150):
         store.zero_grad()
         diff = nn.add(w, -2.0)
@@ -263,7 +263,7 @@ def test_adamw_matches_per_tensor_update_bitwise():
     store = nn.ParamStore()
     for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 3, 2)), ("s", (1,))):
         store.create(name, shape, rng)
-    opt = AdamW(store, LrSchedule(lr=0.01, warmup_iters=3, decay_at=8))
+    opt = AdamW(store, 0.01)
     beta1, beta2, eps, wd = 0.9, 0.999, 1e-8, 0.01
     ref = {name: p.data.copy() for name, p in store.items()}
     ref_m = {name: np.zeros_like(p.data) for name, p in store.items()}
@@ -271,7 +271,7 @@ def test_adamw_matches_per_tensor_update_bitwise():
     for k in range(12):
         for name, p in store.items():
             p.grad = None if name == "b" and k % 3 == 1 else rng.standard_normal(p.data.shape)
-        lr, step = opt.schedule.at(k), k + 1
+        lr, step = toy_lr(0.01, k), k + 1
         skipped = store["b"].data
         for name, p in store.items():
             g = p.grad
@@ -293,20 +293,22 @@ def test_adamw_matches_per_tensor_update_bitwise():
 
 
 def test_lr_schedule_phases():
-    s = LrSchedule(lr=1.0, warmup_iters=10, decay_at=100, decay_factor=10)
-    assert s.at(0) == pytest.approx(0.1)
-    assert s.at(9) == pytest.approx(1.0)
-    assert s.at(50) == pytest.approx(1.0)
-    assert s.at(100) == pytest.approx(0.1)
+    # linear warm-up over 10 iterations, divided by 10 from iteration 150
+    assert toy_lr(1.0, 0) == pytest.approx(0.1)
+    assert toy_lr(1.0, 9) == pytest.approx(1.0)
+    assert toy_lr(1.0, 149) == pytest.approx(1.0)
+    assert toy_lr(1.0, 150) == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
 # duplicate injection and windows
 
 def test_inject_duplicate_always():
-    rng = np.random.default_rng(0)
-    frame = LabeledFrame([det_at(0, 0, np.zeros(8))], [4])
-    out = inject_duplicate(frame, rng, prob=1.0)
+    # this generator's first draw, 0.26, falls below DUPLICATE_PROB
+    assert np.random.default_rng(2).uniform() < DUPLICATE_PROB
+    rng = np.random.default_rng(2)
+    frame = SequenceFrame(0, (0, 0), [det_at(0, 0, np.zeros(8))], [4])
+    out = inject_duplicate(frame, rng)
     assert len(out.detections) == 2
     assert out.identities == [4, 4]
     src, dup = out.detections
@@ -317,10 +319,24 @@ def test_inject_duplicate_always():
 
 
 def test_inject_duplicate_never_on_prob_zero():
+    # this generator's first draw, 0.64, is not below DUPLICATE_PROB
+    assert np.random.default_rng(0).uniform() >= DUPLICATE_PROB
     rng = np.random.default_rng(0)
-    frame = LabeledFrame([det_at(0, 0, np.zeros(8))], [4])
-    out = inject_duplicate(frame, rng, prob=0.0)
+    frame = SequenceFrame(0, (0, 0), [det_at(0, 0, np.zeros(8))], [4])
+    out = inject_duplicate(frame, rng)
     assert out is frame
+
+
+def test_inject_duplicate_lists_the_copy_among_duplicates():
+    rng = np.random.default_rng(2)
+    dets = [det_at(0, 0, np.zeros(8)), det_at(1, 1, np.zeros(8))]
+    frame = SequenceFrame(5, (64, 64), dets, [4, 4], duplicates=(1,))
+    out = inject_duplicate(frame, rng)
+    assert out.duplicates == (1, 2)
+    assert (out.index, out.image_size) == (5, (64, 64))
+    assert out.identities == [4, 4, 4]
+    # the input frame is left as it was
+    assert len(frame.detections) == 2 and frame.duplicates == (1,)
 
 
 def test_subsequence_windows():
@@ -344,7 +360,7 @@ def two_identity_sequence(cfg, n_frames=9, seed=0):
             noise = rng.standard_normal(cfg.d) * 0.1
             dets.append(det_at(x, 10.0 + ident * 5.0, base[ident] + noise))
             ids.append(ident)
-        frames.append(LabeledFrame(dets, ids))
+        frames.append(SequenceFrame(t, (0, 0), dets, ids))
     return [frames]
 
 
@@ -361,8 +377,7 @@ def test_train_toy_zero_lr_keeps_weights():
     seqs = two_identity_sequence(cfg)
     model = TrackingModel(cfg, seed=1)
     before = {k: v.copy() for k, v in model.store.state_dict().items()}
-    train_toy(seqs, cfg, seed=1, n_iters=4, model=model,
-              schedule=LrSchedule(lr=0.0, warmup_iters=0, decay_at=None))
+    train_toy(seqs, cfg, seed=1, n_iters=4, model=model, lr=0.0)
     after = model.store.state_dict()
     for k in before:
         assert (before[k] == after[k]).all()
