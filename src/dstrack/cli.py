@@ -175,6 +175,9 @@ def cmd_track(args) -> int:
     frames = seq.detection_frames()
     crops_only = any(d.appearance is None for dets in frames for d in dets)
     model = _load_model(cfg, args.weights, args.seed, with_backbone=crops_only)
+    if crops_only and "backbone.head.w" not in model.store:
+        raise ValueError(f"{args.weights}: checkpoint has no backbone.* tensors to embed "
+                         f"the detections of {args.sequence} that have only a crop")
     rows = [(idx, res) for idx, res, _ in run_sequence(frames, model)]
     if args.out:
         write_results_jsonl(rows, args.out)

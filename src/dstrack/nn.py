@@ -13,7 +13,6 @@ import json
 import struct
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 LN_EPS = 1e-5
@@ -449,9 +448,22 @@ def _patch_cols(xd):
     """(N, C, H, W) -> (N, C*9, H*W): each pixel's zero-padded 3x3 patch,
     ordered like a flattened (C, 3, 3) kernel."""
     n, c, h, wd_ = xd.shape
-    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    patches = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (N, C, H, W, 3, 3)
-    return patches.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * wd_)
+    hw = h * wd_
+    # each channel flattened between a zero row and one more zero at either
+    # end, so tap (dy, dx) is one slice of h*w elements from dy*w + dx: a
+    # long run that numpy copies fast.  Where the patch leaves the image on
+    # the left (dx = 0) or right (dx = 2), the slice wraps into the next or
+    # previous row, so those columns are zeroed after the copy.
+    xp = np.zeros((n, c, hw + 2 * wd_ + 2), dtype=xd.dtype)
+    xp[:, :, wd_ + 1:wd_ + 1 + hw] = xd.reshape(n, c, hw)
+    cols = np.empty((n, c, 3, 3, h, wd_), dtype=xd.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            start = dy * wd_ + dx
+            cols[:, :, dy, dx] = xp[:, :, start:start + hw].reshape(n, c, h, wd_)
+        cols[:, :, dy, 0, :, 0] = 0.0
+        cols[:, :, dy, 2, :, -1] = 0.0
+    return cols.reshape(n, c * 9, hw)
 
 
 def _correlate3x3(xd, w):
@@ -499,15 +511,28 @@ def conv3x3(x, w, b) -> Tensor:
 def avg_pool2(x) -> Tensor:
     """2x2 average pooling with stride 2 of (N, C, H, W); H and W must be even."""
     x = as_tensor(x)
-    n, c, h, w = x.data.shape
+    xd = x.data
+    _, _, h, w = xd.shape
     if h % 2 or w % 2:
         raise ValueError("avg_pool2 needs even spatial dims")
-    y = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-    out = Tensor(y, parents=(x,))
+    x00, x01 = xd[..., 0::2, 0::2], xd[..., 0::2, 1::2]
+    x10, x11 = xd[..., 1::2, 0::2], xd[..., 1::2, 1::2]
+    # the sums that reshape(N, C, H/2, 2, W/2, 2).mean(axis=(3, 5)) makes,
+    # bit for bit, without its slow reduction over two size-2 axes: numpy
+    # adds each block row by row from 0.0 (so four -0.0 give 0.0), except
+    # at W = 2, where it merges the two axes and adds the four in one run
+    s = x00 + x01 + x10 + x11 if w == 2 else (x00 + x01) + (x10 + x11)
+    out = Tensor((s + 0.0) / 4, parents=(x,))
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
+            q = g * 0.25
+            gx = np.empty_like(xd)
+            gx[..., 0::2, 0::2] = q
+            gx[..., 0::2, 1::2] = q
+            gx[..., 1::2, 0::2] = q
+            gx[..., 1::2, 1::2] = q
+            x.accumulate(gx)
 
     out._backward = backward
     return out

@@ -595,6 +595,22 @@ def test_bad_config_value_is_usage_error(tmp_path, cfg_path, capsys, field, valu
     assert not out.exists()
 
 
+def test_crop_sequence_with_a_checkpoint_without_backbone(tmp_path, cfg_path, capsys):
+    # a checkpoint trained on appearance vectors has no backbone.* tensors,
+    # so it cannot embed crops: track refuses before the first frame
+    crops = short_sequence(tmp_path, cfg_path, crops=True)
+    ckpt, res = tmp_path / "vec.ckpt", tmp_path / "res.jsonl"
+    nn.save_checkpoint(str(ckpt), TrackingModel(SMALL).store.state_dict())
+    capsys.readouterr()
+    assert run(["track", str(crops), "--config", cfg_path, "--weights", str(ckpt),
+                "--out", str(res)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {ckpt}: checkpoint has no backbone")
+    assert str(crops) in err
+    assert not res.exists()
+
+
 def test_checkpoint_of_the_old_default_edge_width(tmp_path, capsys):
     # d_e once defaulted to d, so a checkpoint written then has a d_e wide
     # edge path (256 at the default d) where the config now gives 32; it

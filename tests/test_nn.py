@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from dstrack import nn
@@ -226,6 +229,66 @@ def test_avg_pool2_value():
     np.testing.assert_allclose(y.data, [[[[2.5, 4.5], [10.5, 12.5]]]])
     with pytest.raises(ValueError, match="even"):
         nn.avg_pool2(t(np.zeros((1, 1, 3, 4))))
+
+
+def spread_values(seed, shape, decades, zero_frac, strided):
+    """Normal draws times 10**k, k uniform in the range decades, a share of
+    them set to zeros of either sign; strided gives a view that takes every
+    other element of the last axis, as a sliced gradient would."""
+    rng = np.random.default_rng(seed)
+    full = shape[:-1] + (2 * shape[-1],) if strided else shape
+    x = rng.standard_normal(full) * 10.0 ** rng.integers(*decades, full)
+    zeros = rng.random(full) < zero_frac
+    x[zeros] = np.copysign(0.0, x[zeros])
+    return x[..., ::2] if strided else x
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns, so 0.0 and -0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def patch_cols_reference(xd):
+    """Patch columns as np.pad and a transposed copy of a sliding-window
+    view build them."""
+    n, c, h, w = xd.shape
+    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    patches = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (N, C, H, W, 3, 3)
+    return patches.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * w)
+
+
+bit_identity = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+batch, channels = st.integers(1, 3), st.integers(1, 17)
+even_side = st.integers(1, 8).map(lambda k: 2 * k)
+# a few decades make sums round differently in each order; -320 reaches
+# subnormals
+value_draws = dict(seed=st.integers(0, 2**32 - 1),
+                   decades=st.sampled_from(((-3, 4), (-320, 301))),
+                   zero_frac=st.sampled_from((0.0, 0.2, 0.9)), strided=st.booleans())
+
+
+@bit_identity
+@given(n=batch, c=channels, h=st.integers(1, 9), w=st.integers(1, 9), **value_draws)
+def test_patch_cols_equal_the_window_view_reference(n, c, h, w, seed, decades, zero_frac, strided):
+    x = spread_values(seed, (n, c, h, w), decades, zero_frac, strided)
+    assert same_bits(nn._patch_cols(x), patch_cols_reference(x))
+
+
+@bit_identity
+@given(n=batch, c=channels, h=even_side, w=even_side, **value_draws)
+def test_avg_pool2_forward_equals_block_mean(n, c, h, w, seed, decades, zero_frac, strided):
+    x = spread_values(seed, (n, c, h, w), decades, zero_frac, strided)
+    ref = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    assert same_bits(nn.avg_pool2(t(x)).data, ref)
+
+
+@bit_identity
+@given(n=batch, c=channels, h=even_side, w=even_side, **value_draws)
+def test_avg_pool2_backward_equals_repeat(n, c, h, w, seed, decades, zero_frac, strided):
+    x = t(np.zeros((n, c, h, w)))
+    g = spread_values(seed, (n, c, h // 2, w // 2), decades, zero_frac, strided)
+    nn.avg_pool2(x)._backward(g)
+    assert same_bits(x.grad, np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
 
 
 def test_reduce_max_routes_gradient_to_argmax():
