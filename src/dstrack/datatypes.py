@@ -3,10 +3,13 @@
 Everything here is a frozen dataclass; array fields are numpy arrays marked
 read-only at construction.  The tracker replaces instances rather than
 mutating them.  to_dict/from_dict round-trip through JSON without losing a
-single bit (floats serialize via repr, which is exact for float64).
+single bit: scalars serialize via repr, which is exact for float64, and a
+detection's arrays as their little-endian float64 bytes in base64.
 """
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +22,44 @@ def _frozen_array(x, dtype=np.float64) -> np.ndarray:
     arr = np.array(x, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _pack_array(arr: np.ndarray) -> dict:
+    """{"shape": [...], "f64le": base64 of the C-order little-endian float64 bytes}."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "f64le": base64.b64encode(raw).decode("ascii")}
+
+
+def _array_field(d: dict, name: str):
+    """The array under d[name]: a packed object as _pack_array writes it,
+    or a nested list (hand-written and schema-1 files); None if absent."""
+    value = d.get(name)
+    if value is None:
+        return None
+    if isinstance(value, list):
+        try:
+            return np.array(value, dtype=np.float64)
+        except (TypeError, ValueError) as e:  # ragged, or a non-number inside
+            raise ValueError(f"{name}: {e}") from None
+    if not isinstance(value, dict) or set(value) != {"shape", "f64le"}:
+        raise ValueError(f"{name} must be a nested list or an object with exactly "
+                         "'shape' and 'f64le'")
+    shape = value["shape"]
+    if not (isinstance(shape, list) and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)):
+        raise ValueError(f"{name}: shape must be a list of non-negative integers, "
+                         f"got {shape!r}")
+    packed = value["f64le"]
+    if not isinstance(packed, str):
+        raise ValueError(f"{name}: f64le must be a base64 string")
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name}: f64le is not valid base64") from None
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise ValueError(f"{name}: f64le holds {len(raw)} bytes, shape {shape} needs {need}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -149,12 +190,10 @@ class Detection:
             "pose": self.pose.to_dict(),
             "score": float(self.score),
         }
-        if self.appearance is not None:
-            out["appearance"] = [float(v) for v in self.appearance]
-        if self.heatmaps is not None:
-            out["heatmaps"] = self.heatmaps.tolist()
-        if self.crop is not None:
-            out["crop"] = self.crop.tolist()
+        for name in ("appearance", "heatmaps", "crop"):
+            arr = getattr(self, name)
+            if arr is not None:
+                out[name] = _pack_array(arr)
         return out
 
     @staticmethod
@@ -163,9 +202,9 @@ class Detection:
             box=Box.from_dict(d["box"]),
             pose=Pose.from_dict(d["pose"]),
             score=d.get("score", 1.0),
-            appearance=d.get("appearance"),
-            heatmaps=d.get("heatmaps"),
-            crop=d.get("crop"),
+            appearance=_array_field(d, "appearance"),
+            heatmaps=_array_field(d, "heatmaps"),
+            crop=_array_field(d, "crop"),
         )
 
 

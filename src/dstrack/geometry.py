@@ -1,9 +1,9 @@
 """Temporal person similarities: IoU, the three OKS variants, and the raw
 track/detection edge-feature tensor.
 
-`iou` and `oks_triplet` score one pair and are the scalar references;
 `iou_grid` and `oks_grid` score every pair of two lists at once by
-broadcasting, and are what the engine calls.
+broadcasting.  The tests keep scalar one-pair references to compare them
+against.
 """
 from __future__ import annotations
 
@@ -15,51 +15,14 @@ from .config import EngineConfig
 from .datatypes import Box, Pose
 
 
-def iou(a: Box, b: Box) -> float:
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-def oks_triplet(p: Pose, q: Pose, scale_box: Box, kappas: np.ndarray) -> np.ndarray:
-    """Three keypoint-similarity readings of the same pose pair.
-
-    Per keypoint the kernel is exp(-d^2 / (2 s k^2)) with s the scale-box
-    area.  Component 0 averages over jointly visible keypoints (0 if there
-    are none), component 1 over p's visible set, component 2 over q's; in
-    the one-sided variants a keypoint whose partner is missing contributes 0.
-    """
-    if p.keypoint_count != q.keypoint_count:
-        raise ValueError("poses must share the same keypoint count")
-    kappas = np.asarray(kappas, dtype=np.float64)
-    if kappas.shape != (p.keypoint_count,):
-        raise ValueError("kappa count must match keypoint count")
-    vp = p.visibility_mask()
-    vq = q.visibility_mask()
-    both = vp & vq
-    d2 = ((p.coords - q.coords) ** 2).sum(axis=1)
-    s = scale_box.area
-    g = np.exp(-d2 / (2.0 * s * kappas**2))
-
-    def one_sided(mask):
-        if not mask.any():
-            return 0.0
-        return float((g * both)[mask].sum() / mask.sum())
-
-    shared = float(g[both].mean()) if both.any() else 0.0
-    return np.array([shared, one_sided(vp), one_sided(vq)])
-
-
 def _corners(boxes: Sequence[Box]) -> np.ndarray:
     return np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes],
                     dtype=np.float64).reshape(len(boxes), 4)
 
 
 def iou_grid(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
-    """A x B matrix of iou(boxes_a[i], boxes_b[j])."""
+    """A x B matrix of the intersection over union of boxes_a[i] and
+    boxes_b[j]; boxes that only touch overlap by 0."""
     a = _corners(boxes_a)[:, None, :]
     b = _corners(boxes_b)[None, :, :]
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
@@ -74,12 +37,17 @@ def iou_grid(boxes_a: Sequence[Box], boxes_b: Sequence[Box]) -> np.ndarray:
 
 def oks_grid(poses_a: Sequence[Pose], poses_b: Sequence[Pose], areas_a,
              kappas: np.ndarray) -> np.ndarray:
-    """A x B x 3 array of oks_triplet(poses_a[i], poses_b[j], s_i, kappas),
-    where s_i = areas_a[i] is the area of pose i's scale box.
+    """A x B x 3 array of three keypoint-similarity readings of each pose
+    pair (poses_a[i], poses_b[j]).
 
-    Each average is the sum over all keypoints of the jointly visible
-    kernel values, so it can differ from oks_triplet's sum over the
-    selected keypoints in the last bits when some keypoints are hidden.
+    Per keypoint the kernel is exp(-d^2 / (2 s_i k^2)), with s_i = areas_a[i]
+    the area of pose i's scale box.  Component 0 averages over jointly
+    visible keypoints (0 if there are none), component 1 over poses_a[i]'s
+    visible set, component 2 over poses_b[j]'s; in the one-sided variants a
+    keypoint whose partner is missing contributes 0.  Each average is the
+    sum over all keypoints of the jointly visible kernel values, so it can
+    differ from a sum over the selected keypoints in the last bits when some
+    keypoints are hidden.
     """
     n_a, n_b = len(poses_a), len(poses_b)
     if n_a == 0 or n_b == 0:

@@ -650,7 +650,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raw = f.read(4 * count)
             if len(raw) != 4 * count:
                 raise ValueError("checkpoint payload truncated")
-            out[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+            arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint tensor {name} has non-finite values")
+            out[name] = arr
     return out
 
 

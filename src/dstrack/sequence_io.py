@@ -4,7 +4,9 @@ A sequence file is a single JSON document holding ordered frames of
 detections.  Detections may carry an identity label (for evaluation and
 training) and a precomputed appearance vector (standing in for a backbone).
 Frames may flag some detection indices as injected duplicates; those are
-distractors, not ground-truth instances.
+distractors, not ground-truth instances.  Schema 2 writes a detection's
+arrays packed as base64 float64 bytes (`datatypes.Detection.to_dict`);
+both schemas read arrays packed or as nested lists.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 from .datatypes import Detection
 from .tracker import FrameResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 _KNOWN_TOP = {"schema_version", "sequence_id", "fps", "frames"}
 _KNOWN_FRAME = {"index", "image_size", "detections", "duplicates"}
@@ -99,7 +102,7 @@ def load_sequence(path: str) -> SequenceFile:
     if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise ValueError("sequence file needs a top-level frames list")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ValueError(f"unrecognized schema version {version}")
     _warn_unknown(doc, _KNOWN_TOP, "sequence header")
     fps = doc.get("fps", 0.0)

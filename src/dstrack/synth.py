@@ -151,15 +151,6 @@ def _crossing(n_frames, seed, cfg, separation, crops=False) -> SequenceFile:
     return sc.build()
 
 
-def crossing_frame(seq: SequenceFile) -> int:
-    """Frame where the two crossing boxes are closest."""
-    gaps = []
-    for fr in seq.frames:
-        c = [0.5 * (d.box.x_min + d.box.x_max) for d in fr.detections[:2]]
-        gaps.append(abs(c[0] - c[1]))
-    return int(np.argmin(gaps))
-
-
 def _occlusion(n_frames, seed, cfg, separation, crops=False, gap=10) -> SequenceFile:
     """Identity 1 vanishes for `gap` frames while continuing to move, so it
     reappears displaced well clear of its stale box."""
@@ -172,12 +163,6 @@ def _occlusion(n_frames, seed, cfg, separation, crops=False, gap=10) -> Sequence
             people.append((1, 60.0 + 6.0 * t, 190.0))
         sc.add_frame(t, people, size)
     return sc.build()
-
-
-def occlusion_window(seq: SequenceFile, ident: int = 1) -> Tuple[int, int]:
-    """[start, end) frame range where `ident` is absent."""
-    absent = [fr.index for fr in seq.frames if ident not in fr.identities]
-    return (absent[0], absent[-1] + 1) if absent else (0, 0)
 
 
 def _duplicates(n_frames, seed, cfg, separation, crops=False, duplicate_prob=0.5) -> SequenceFile:

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -347,6 +348,27 @@ def test_checkpoint_with_unexpected_tensor_is_runtime_error(tmp_path, cfg_path, 
     assert "stray.w" in err
 
 
+def test_checkpoint_with_nan_weight_is_runtime_error(tmp_path, cfg_path, capsys):
+    # one NaN weight in the matching layer of a trained checkpoint makes
+    # every detection of every frame open a new track, so it is refused at
+    # load
+    seq = tmp_path / "seq.json"
+    run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "41",
+         "--config", cfg_path, "--out", str(seq)])
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", str(seq), "--config", cfg_path, "--iters", "2",
+                "--out", str(ckpt)]) == 0
+    state = nn.load_checkpoint(str(ckpt))
+    state["match.wq"][0, 0] = np.nan
+    nn.save_checkpoint(str(ckpt), state)
+    capsys.readouterr()
+    assert run(["track", str(seq), "--config", cfg_path, "--weights", str(ckpt)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {ckpt}: checkpoint tensor match.wq has non-finite values")
+
+
 def test_checkpoint_with_ffn_hidden_wide_edge_refresh_is_runtime_error(tmp_path, cfg_path,
                                                                        capsys):
     # a checkpoint whose decoder edge refresh is ffn_hidden wide, as written
@@ -408,13 +430,22 @@ def _null_duplicates(doc):
     doc["frames"][1]["duplicates"] = None
 
 
+def _as_list(det, name):
+    """det[name], written packed, as the nested list a hand-written file holds."""
+    packed = det[name]
+    raw = base64.b64decode(packed["f64le"])
+    return np.frombuffer(raw, dtype="<f8").reshape(packed["shape"]).tolist()
+
+
 def _nan_in_crop(doc):
-    doc["frames"][1]["detections"][0]["crop"][0][0][0] = float("nan")
+    det = doc["frames"][1]["detections"][0]
+    det["crop"] = _as_list(det, "crop")
+    det["crop"][0][0][0] = float("nan")
 
 
 def _short_crop(doc):
     det = doc["frames"][1]["detections"][0]
-    det["crop"] = [channel[:8] for channel in det["crop"]]
+    det["crop"] = [channel[:8] for channel in _as_list(det, "crop")]
 
 
 def _small_heatmaps(doc):
@@ -427,7 +458,7 @@ def _drop_crop(doc):
 
 def _short_appearance(doc):
     det = doc["frames"][2]["detections"][1]
-    det["appearance"] = det["appearance"][:5]
+    det["appearance"] = _as_list(det, "appearance")[:5]
 
 
 def _mixed_frame(doc):
@@ -445,7 +476,58 @@ def _list_fps(doc):
     doc["fps"] = [30]
 
 
-CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop, _mixed_frame)
+def _ragged_appearance(doc):
+    doc["frames"][1]["detections"][0]["appearance"] = [[0.5, 0.5], [0.5]]
+
+
+def _packed_appearance(doc):
+    return doc["frames"][1]["detections"][0]["appearance"]
+
+
+def _appearance_string(doc):
+    doc["frames"][1]["detections"][0]["appearance"] = "0.5"
+
+
+def _packed_extra_key(doc):
+    _packed_appearance(doc)["dtype"] = "float64"
+
+
+def _packed_without_shape(doc):
+    del _packed_appearance(doc)["shape"]
+
+
+def _packed_shape_not_list(doc):
+    _packed_appearance(doc)["shape"] = 16
+
+
+def _packed_shape_negative(doc):
+    _packed_appearance(doc)["shape"] = [-16]
+
+
+def _packed_shape_float(doc):
+    _packed_appearance(doc)["shape"] = [16.0]
+
+
+def _packed_bytes_not_string(doc):
+    _packed_appearance(doc)["f64le"] = [0.5] * 16
+
+
+def _packed_bytes_not_base64(doc):
+    _packed_appearance(doc)["f64le"] = "not base64!"
+
+
+def _packed_bytes_short(doc):
+    _packed_appearance(doc)["shape"] = [17]
+
+
+def _packed_crop_bytes_short(doc):
+    doc["frames"][1]["detections"][0]["crop"]["shape"] = [3, 64, 33]
+
+
+CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop, _mixed_frame,
+                _packed_crop_bytes_short)
+NOT_PACKED = "must be a nested list or an object with exactly 'shape' and 'f64le'"
+BAD_SHAPE = "shape must be a list of non-negative integers"
 
 
 def damaged_sequence(tmp_path, cfg_path, damage):
@@ -477,6 +559,21 @@ def damaged_sequence(tmp_path, cfg_path, damage):
     # train and eval would hash the identity; track would not read it
     (_list_identity, "frame 1, detection 0: identity must be an integer or null, got [1]"),
     (_list_fps, "fps must be a finite number, got [30]"),
+    (_ragged_appearance, "frame 1, detection 0: appearance: setting an array element "
+                         "with a sequence"),
+    # a packed array is {"shape": [...], "f64le": base64 float64 bytes}
+    (_appearance_string, f"frame 1, detection 0: appearance {NOT_PACKED}"),
+    (_packed_extra_key, f"frame 1, detection 0: appearance {NOT_PACKED}"),
+    (_packed_without_shape, f"frame 1, detection 0: appearance {NOT_PACKED}"),
+    (_packed_shape_not_list, f"frame 1, detection 0: appearance: {BAD_SHAPE}, got 16"),
+    (_packed_shape_negative, f"frame 1, detection 0: appearance: {BAD_SHAPE}, got [-16]"),
+    (_packed_shape_float, f"frame 1, detection 0: appearance: {BAD_SHAPE}, got [16.0]"),
+    (_packed_bytes_not_string, "frame 1, detection 0: appearance: f64le must be a base64 string"),
+    (_packed_bytes_not_base64, "frame 1, detection 0: appearance: f64le is not valid base64"),
+    (_packed_bytes_short, "frame 1, detection 0: appearance: f64le holds 128 bytes, "
+                          "shape [17] needs 136"),
+    (_packed_crop_bytes_short, "frame 1, detection 0: crop: f64le holds 49152 bytes, "
+                               "shape [3, 64, 33] needs 50688"),
 ])
 def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
     seq = damaged_sequence(tmp_path, cfg_path, damage)

@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +132,24 @@ def test_detection_json_roundtrip_bit_identical(seed):
     assert back.score == det.score
     assert (back.appearance == det.appearance).all()
     assert (back.heatmaps == det.heatmaps).all()
+
+
+def test_packed_arrays_round_trip_bit_exact():
+    big = np.finfo(np.float64).max
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, big, -big, 0.1]
+    det = Detection(box=Box(0, 0, 1, 1), pose=make_pose(k=2),
+                    appearance=edge,
+                    heatmaps=np.reshape(edge * 2, (2, 2, 4)),
+                    crop=np.reshape(edge * 3, (3, 2, 4)))
+    d = det.to_dict()
+    # C-order little-endian float64 bytes, independent of the host's order
+    assert d["appearance"] == {"shape": [8],
+                               "f64le": base64.b64encode(struct.pack("<8d", *edge)).decode()}
+    back = Detection.from_dict(json.loads(json.dumps(d)))
+    for name in ("appearance", "heatmaps", "crop"):
+        a, b = getattr(det, name), getattr(back, name)
+        assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
 
 
 def test_optional_fields_survive_roundtrip_absence():

@@ -1,11 +1,52 @@
 """IoU / OKS / edge features, checked against scalar hand evaluations; the
-broadcast grids are checked against the scalar references pair by pair."""
+broadcast grids are checked against the scalar references pair by pair.
+
+`iou` and `oks_triplet` are those references, each scoring one pair;
+test_synth and test_training import them from here."""
 import numpy as np
 import pytest
 
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose, Track
-from dstrack.geometry import edge_features, iou, iou_grid, oks_grid, oks_triplet
+from dstrack.geometry import edge_features, iou_grid, oks_grid
+
+
+def iou(a: Box, b: Box) -> float:
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
+
+
+def oks_triplet(p: Pose, q: Pose, scale_box: Box, kappas: np.ndarray) -> np.ndarray:
+    """Three keypoint-similarity readings of the same pose pair.
+
+    Per keypoint the kernel is exp(-d^2 / (2 s k^2)) with s the scale-box
+    area.  Component 0 averages over jointly visible keypoints (0 if there
+    are none), component 1 over p's visible set, component 2 over q's; in
+    the one-sided variants a keypoint whose partner is missing contributes 0.
+    """
+    if p.keypoint_count != q.keypoint_count:
+        raise ValueError("poses must share the same keypoint count")
+    kappas = np.asarray(kappas, dtype=np.float64)
+    if kappas.shape != (p.keypoint_count,):
+        raise ValueError("kappa count must match keypoint count")
+    vp = p.visibility_mask()
+    vq = q.visibility_mask()
+    both = vp & vq
+    d2 = ((p.coords - q.coords) ** 2).sum(axis=1)
+    s = scale_box.area
+    g = np.exp(-d2 / (2.0 * s * kappas**2))
+
+    def one_sided(mask):
+        if not mask.any():
+            return 0.0
+        return float((g * both)[mask].sum() / mask.sum())
+
+    shared = float(g[both].mean()) if both.any() else 0.0
+    return np.array([shared, one_sided(vp), one_sided(vq)])
 
 
 def pose_at(coords, conf=None, visible=None):

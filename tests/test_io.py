@@ -1,4 +1,5 @@
 """Sequence file schema, results JSONL, and loss CSV."""
+import base64
 import csv
 import json
 import warnings
@@ -63,6 +64,50 @@ def test_save_is_deterministic(tmp_path):
     save_sequence(sample_sequence(), p1)
     save_sequence(sample_sequence(), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def array_sequence():
+    """Two frames whose detections carry all three array fields."""
+    rng = np.random.default_rng(0)
+    frames = []
+    for t in range(2):
+        dets = [Detection(box=d.box, pose=d.pose, appearance=rng.standard_normal(3),
+                          heatmaps=rng.uniform(0, 1, size=(4, 2, 3)),
+                          crop=rng.standard_normal((3, 2, 3)))
+                for d in (one_detection(10.0 + t), one_detection(50.0 + t))]
+        frames.append(SequenceFrame(index=t, image_size=(128, 256), detections=dets,
+                                    identities=[0, 1]))
+    return SequenceFile(sequence_id="arrays", fps=25.0, frames=frames)
+
+
+ARRAY_FIELDS = ("appearance", "heatmaps", "crop")
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_sequence(array_sequence(), p1)
+    save_sequence(load_sequence(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_list_form_version_1_file_loads_like_its_packed_twin(tmp_path):
+    packed = tmp_path / "packed.json"
+    save_sequence(array_sequence(), packed)
+    doc = json.loads(packed.read_text())
+    assert doc["schema_version"] == 2
+    doc["schema_version"] = 1
+    for fr in doc["frames"]:
+        for det in fr["detections"]:
+            for name in ARRAY_FIELDS:
+                raw = base64.b64decode(det[name]["f64le"])
+                det[name] = np.frombuffer(raw, "<f8").reshape(det[name]["shape"]).tolist()
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(doc))
+    for fa, fb in zip(load_sequence(packed).frames, load_sequence(listed).frames):
+        for da, db in zip(fa.detections, fb.detections):
+            for name in ARRAY_FIELDS:
+                a, b = getattr(da, name), getattr(db, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_minimal_single_frame_file(tmp_path):

@@ -3,15 +3,25 @@ import numpy as np
 import pytest
 
 from dstrack.config import EngineConfig
-from dstrack.geometry import iou
-from dstrack.sequence_io import load_sequence, save_sequence
-from dstrack.synth import (
-    SCENARIOS,
-    crossing_frame,
-    occlusion_window,
-    synth_sequence,
-)
+from dstrack.sequence_io import SequenceFile, load_sequence, save_sequence
+from dstrack.synth import SCENARIOS, synth_sequence
 from small_config import SMALL as CFG
+from test_geometry import iou
+
+
+def crossing_frame(seq: SequenceFile) -> int:
+    """Frame where the two crossing boxes are closest."""
+    gaps = []
+    for fr in seq.frames:
+        c = [0.5 * (d.box.x_min + d.box.x_max) for d in fr.detections[:2]]
+        gaps.append(abs(c[0] - c[1]))
+    return int(np.argmin(gaps))
+
+
+def occlusion_window(seq: SequenceFile, ident: int = 1):
+    """[start, end) frame range where `ident` is absent."""
+    absent = [fr.index for fr in seq.frames if ident not in fr.identities]
+    return (absent[0], absent[-1] + 1) if absent else (0, 0)
 
 
 def test_unknown_scenario():

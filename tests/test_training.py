@@ -26,6 +26,7 @@ from dstrack.training import (
 )
 from dstrack.transformer import TrackingModel
 from small_config import SMALL
+from test_geometry import oks_triplet
 
 
 def small_cfg(**kw):
@@ -92,7 +93,6 @@ def test_greedy_three_dets_two_gts_hand_ordering():
     dets = [pose_at(1, 0), pose_at(24, 0), pose_at(300, 300)]
     labels = greedy_identity_assignment(dets, gt, gt_ids, boxes, KAP)
 
-    from dstrack.geometry import oks_triplet
     sim = np.array([[oks_triplet(d, g, b, KAP)[0] for g, b in zip(gt, boxes)]
                     for d in dets])
     assert labels.det_identity == greedy_trace_oracle(sim, gt_ids, 0.3)
@@ -106,7 +106,6 @@ def test_greedy_matches_trace_oracle_on_scalar_oks(seed):
     # detections scattered around the gt poses, most with OKS near the
     # floor, some far, some partly hidden; the oracle's sim comes from the
     # scalar oks_triplet
-    from dstrack.geometry import oks_triplet
     rng = np.random.default_rng(seed)
     n_gt, n_det = int(rng.integers(1, 6)), int(rng.integers(1, 7))
     anchors = rng.uniform(0, 120, size=(n_gt, 2))
