@@ -204,7 +204,8 @@ def cmd_eval(args) -> int:
         results = read_results_jsonl(args.results)
     with _reading(args.gt):
         gt = load_sequence(args.gt)
-    report = evaluate(results, gt)
+    with _reading(args.results):  # results that name a detection gt lacks
+        report = evaluate(results, gt)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

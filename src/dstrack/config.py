@@ -47,9 +47,7 @@ class EngineConfig:
     tau_dup: float = 0.4              # duplicate suppression threshold
     tau_age: int = 60                 # frames a track may go unmatched
     ffn_hidden: int = 1024            # hidden width of the d-wide stage FFNs
-    heatmap_kernel_width: float = 10.0  # Gaussian std in px for rendered heatmaps
     oks_kappas: Tuple[float, ...] = ()  # empty means "derive from keypoint_count"
-    edge_update_mode: str = "features"  # "features" (pre-softmax) or "weights"
     crop_height: int = 64
     crop_width: int = 32
 
@@ -59,7 +57,7 @@ class EngineConfig:
 
 _INT_FIELDS = ("d", "d_e", "keypoint_count", "n_encoder_stages", "n_decoder_stages",
                "ffn_hidden", "tau_age", "crop_height", "crop_width")
-_REAL_FIELDS = ("alpha", "tau_dup", "heatmap_kernel_width")
+_REAL_FIELDS = ("alpha", "tau_dup")
 
 
 def validate_config(cfg: EngineConfig) -> EngineConfig:
@@ -101,8 +99,6 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ValueError("tau_dup out of range")
     if cfg.tau_age < 0:
         raise ValueError("tau_age must be non-negative")
-    if cfg.heatmap_kernel_width <= 0:
-        raise ValueError("heatmap kernel width must be positive")
     if len(cfg.oks_kappas) != cfg.keypoint_count:
         raise ValueError("kappa count must match keypoint count")
     for i, k in enumerate(cfg.oks_kappas):
@@ -110,8 +106,6 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
             raise ValueError(f"oks_kappas[{i}] must be finite, got {k}")
     if any(k <= 0 for k in cfg.oks_kappas):
         raise ValueError("kappas must be strictly positive")
-    if cfg.edge_update_mode not in ("features", "weights"):
-        raise ValueError("edge update mode must be features or weights")
     if cfg.crop_height <= 0 or cfg.crop_width <= 0:
         raise ValueError("crop dims must be positive")
     if cfg.crop_height % 8 or cfg.crop_width % 8:

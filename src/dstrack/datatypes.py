@@ -158,7 +158,6 @@ class Detection:
     pose: Pose
     score: float = 1.0
     appearance: Optional[np.ndarray] = None      # precomputed embedding, length d
-    heatmaps: Optional[np.ndarray] = None        # (K, H, W) unit-interval grids
     crop: Optional[np.ndarray] = None            # (3, H, W) image patch for the backbone
 
     def __post_init__(self):
@@ -169,13 +168,6 @@ class Detection:
             if not np.isfinite(appearance).all():
                 raise ValueError("detection appearance must be finite")
             object.__setattr__(self, "appearance", appearance)
-        if self.heatmaps is not None:
-            hm = _frozen_array(self.heatmaps)
-            if hm.ndim != 3 or hm.shape[0] != self.pose.keypoint_count:
-                raise ValueError("heatmaps must have shape (K, H, W)")
-            if not np.isfinite(hm).all():
-                raise ValueError("detection heatmaps must be finite")
-            object.__setattr__(self, "heatmaps", hm)
         if self.crop is not None:
             crop = _frozen_array(self.crop)
             if crop.ndim != 3 or crop.shape[0] != 3:
@@ -190,7 +182,7 @@ class Detection:
             "pose": self.pose.to_dict(),
             "score": float(self.score),
         }
-        for name in ("appearance", "heatmaps", "crop"):
+        for name in ("appearance", "crop"):
             arr = getattr(self, name)
             if arr is not None:
                 out[name] = _pack_array(arr)
@@ -203,7 +195,6 @@ class Detection:
             pose=Pose.from_dict(d["pose"]),
             score=d.get("score", 1.0),
             appearance=_array_field(d, "appearance"),
-            heatmaps=_array_field(d, "heatmaps"),
             crop=_array_field(d, "crop"),
         )
 

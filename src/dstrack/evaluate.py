@@ -71,10 +71,14 @@ def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> Ev
     # identity -> ordered list of matched track ids (one per matched frame)
     history: Dict[int, List[int]] = {}
 
-    for (_, res), frame in zip(results, gt.frames):
+    for (frame_index, res), frame in zip(results, gt.frames):
         gt_indices = [i for i, ident in enumerate(frame.identities)
                       if ident is not None and i not in frame.duplicates]
         outputs = _frame_outputs(res)
+        for det_idx, _ in outputs:
+            if det_idx >= len(frame.detections):
+                raise ValueError(f"frame {frame_index}: detection index {det_idx} is out of "
+                                 f"range, the frame has {len(frame.detections)} detections")
         pairs = _match_frame(outputs, gt_indices, frame.detections)
         total_gt += len(gt_indices)
         misses += len(gt_indices) - len(pairs)

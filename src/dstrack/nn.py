@@ -10,6 +10,8 @@ All arithmetic runs in float64; checkpoints store float32 payloads.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -621,7 +623,10 @@ def save_checkpoint(path, named: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The named tensors of a save_checkpoint file.  Each declared length is
+    checked against the bytes left in the file before it is read."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("not a checkpoint file (bad magic)")
@@ -631,9 +636,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         version, hlen = struct.unpack("<II", fixed)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        blob = f.read(hlen)
-        if len(blob) != hlen:
+        if hlen > size - f.tell():
             raise ValueError("checkpoint header truncated")
+        blob = f.read(hlen)
         header = json.loads(blob.decode("utf-8"))
         if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
             raise ValueError("checkpoint header has no tensors list")
@@ -645,11 +650,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                     and all(isinstance(k, int) and k >= 0 for k in shape)):
                 raise ValueError(f"checkpoint header: tensor entry {n} needs a name "
                                  "and a shape of non-negative integers")
-            shape = tuple(shape)
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(4 * count)
-            if len(raw) != 4 * count:
+            if name in out:
+                raise ValueError(f"checkpoint header lists tensor {name} twice")
+            count = math.prod(shape)
+            if 4 * count > size - f.tell():
                 raise ValueError("checkpoint payload truncated")
+            raw = f.read(4 * count)
             arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
             if not np.isfinite(arr).all():
                 raise ValueError(f"checkpoint tensor {name} has non-finite values")

@@ -25,7 +25,7 @@ _READABLE_VERSIONS = (1, 2)
 
 _KNOWN_TOP = {"schema_version", "sequence_id", "fps", "frames"}
 _KNOWN_FRAME = {"index", "image_size", "detections", "duplicates"}
-_KNOWN_DET = {"box", "pose", "score", "appearance", "heatmaps", "crop", "identity"}
+_KNOWN_DET = {"box", "pose", "score", "appearance", "crop", "identity"}
 
 
 @dataclass
@@ -185,11 +185,21 @@ def result_to_dict(frame_index: int, res: FrameResult) -> dict:
     }
 
 
+def _index_pairs(d: dict, key: str) -> List[Tuple[int, int]]:
+    """d[key] as (detection index, track id) pairs of non-negative integers."""
+    for item in d[key]:
+        if not (isinstance(item, list) and len(item) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in item)):
+            raise ValueError(f"{key}: expected [detection index, track id], two "
+                             f"non-negative integers, got {item!r}")
+    return [(a, b) for a, b in d[key]]
+
+
 def result_from_dict(d: dict) -> Tuple[int, FrameResult]:
     res = FrameResult(
-        assignments=[(a, b) for a, b in d["assignments"]],
+        assignments=_index_pairs(d, "assignments"),
         duplicates=list(d["duplicates"]),
-        new_tracks=[(a, b) for a, b in d["new_tracks"]],
+        new_tracks=_index_pairs(d, "new_tracks"),
         closed_tracks=list(d["closed_tracks"]),
     )
     return int(d["frame"]), res

@@ -16,6 +16,7 @@ from .datatypes import Pose
 
 SIGMA_GUARD = 1e-5
 STAGE_CHANNELS = (8, 16, 32)
+HEATMAP_KERNEL_WIDTH = 10.0  # Gaussian std in px of the heatmaps rendered from poses
 
 
 def render_heatmaps(pose: Pose, height: int, width: int, kernel_width: float) -> np.ndarray:

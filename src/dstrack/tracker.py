@@ -103,9 +103,9 @@ def check_detections(dets: Sequence[Detection], cfg: EngineConfig) -> None:
     A pose has the config's keypoint_count keypoints, which the OKS kappas
     and the backbone's heatmap channels are sized for.  A detection's
     appearance is its precomputed vector, of length d, or the backbone's
-    embedding of its crop and heatmaps, both crop_height x crop_width.  A
-    frame takes one of the two: when any detection lacks a vector, the
-    backbone embeds every detection, so each needs a crop.
+    embedding of its crop_height x crop_width crop and its pose.  A frame
+    takes one of the two: when any detection lacks a vector, the backbone
+    embeds every detection, so each needs a crop.
     """
     size = (cfg.crop_height, cfg.crop_width)
     for j, d in enumerate(dets):
@@ -120,11 +120,10 @@ def check_detections(dets: Sequence[Detection], cfg: EngineConfig) -> None:
                              f"config expects d {cfg.d}")
         if a is None and d.crop is None:
             raise ValueError(f"detection {j}: has neither an appearance vector nor a crop")
-        for what, grid in (("crop is", d.crop), ("heatmaps are", d.heatmaps)):
-            if grid is not None and grid.shape[1:] != size:
-                raise ValueError(
-                    f"detection {j}: {what} {grid.shape[1]}x{grid.shape[2]}, config "
-                    f"expects crop_height x crop_width {size[0]}x{size[1]}")
+        if d.crop is not None and d.crop.shape[1:] != size:
+            raise ValueError(
+                f"detection {j}: crop is {d.crop.shape[1]}x{d.crop.shape[2]}, config "
+                f"expects crop_height x crop_width {size[0]}x{size[1]}")
     crop_only = next((j for j, d in enumerate(dets) if d.appearance is None), None)
     vector_only = next((j for j, d in enumerate(dets) if d.crop is None), None)
     if crop_only is not None and vector_only is not None:
@@ -147,22 +146,16 @@ def detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.
     if not needs_backbone:
         return nn.Tensor(np.stack([d.appearance for d in dets]) if dets
                          else np.zeros((0, cfg.d)))
-    from .spapde import appearance_embed_batch, render_heatmaps
+    from .spapde import HEATMAP_KERNEL_WIDTH, appearance_embed_batch, render_heatmaps
 
     heats = []
     for d in dets:
-        if d.heatmaps is not None:
-            heats.append(d.heatmaps)
-        else:
-            # map pose into the crop frame and render
-            w = d.box.x_max - d.box.x_min
-            h = d.box.y_max - d.box.y_min
-            coords = d.pose.coords.copy()
-            coords[:, 0] = (coords[:, 0] - d.box.x_min) / w * cfg.crop_width
-            coords[:, 1] = (coords[:, 1] - d.box.y_min) / h * cfg.crop_height
-            pose = dataclasses.replace(d.pose, coords=coords)
-            heats.append(render_heatmaps(pose, cfg.crop_height, cfg.crop_width,
-                                         cfg.heatmap_kernel_width))
+        # map pose into the crop frame and render
+        b = d.box
+        coords = ((d.pose.coords - (b.x_min, b.y_min)) / (b.x_max - b.x_min, b.y_max - b.y_min)
+                  * (cfg.crop_width, cfg.crop_height))
+        heats.append(render_heatmaps(dataclasses.replace(d.pose, coords=coords),
+                                     cfg.crop_height, cfg.crop_width, HEATMAP_KERNEL_WIDTH))
     crops = np.stack([d.crop for d in dets])
     return appearance_embed_batch(crops, np.stack(heats), model.store)
 

@@ -208,11 +208,7 @@ class TrackingModel:
         x = self._ln(nn.add(x, self._ffn(x, f"{p}.ffn")), f"{p}.ln2")
 
         t_count, d_count = bundle.o_appear.data.shape
-        if self.cfg.edge_update_mode == "weights":
-            gate_in = nn.take(bundle.fused, (slice(None), slice(0, d_count)))
-        else:
-            gate_in = fuse(alpha, bundle.o_appear, bundle.o_edge)
-        scalar = nn.reshape(gate_in, (t_count, d_count, 1))
+        scalar = nn.reshape(fuse(alpha, bundle.o_appear, bundle.o_edge), (t_count, d_count, 1))
         new_edge = self._ffn(scalar, f"{p}.ffn_e")
         return x, nn.reshape(new_edge, (t_count, d_count)), bundle
 

@@ -8,7 +8,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from dstrack import nn
 from dstrack.datatypes import Box, Detection, Pose, Track
@@ -21,8 +20,6 @@ from dstrack.tracker import hungarian, run_sequence, step, TrackerState
 from dstrack.training import labeled_frames, loss_attn, train_toy
 from dstrack.transformer import dual_source_attention, TrackingModel
 from small_config import SMALL
-
-assert dataclasses.replace(SMALL, edge_update_mode="features") == SMALL
 
 
 def _line(n, label, ok, detail):
@@ -253,23 +250,13 @@ def test_criterion_4_tracking_scenarios():
     assert max(times) < 10.0, times
 
 
-def train_crowd_models(cfg):
-    """The three seeds criteria 5 and 7 train, on two crowd sequences."""
+def test_criterion_5_training_progress():
+    # three seeds trained on two crowd sequences, scored on a third
     train = [labeled_frames(crowd(0)), labeled_frames(crowd(1))]
-    return [train_toy(train, cfg, seed=seed, n_iters=200) for seed in (0, 1, 2)]
-
-
-@pytest.fixture(scope="module")
-def features_models():
-    """SMALL already uses edge_update_mode="features", so criterion 7's
-    features arm is exactly criterion 5's three runs; train them once."""
-    return train_crowd_models(SMALL)
-
-
-def test_criterion_5_training_progress(features_models):
     held = crowd(99)
     drops, accs = [], []
-    for model, curve in features_models:
+    for seed in (0, 1, 2):
+        model, curve = train_toy(train, SMALL, seed=seed, n_iters=200)
         totals = [row.total for row in curve]
         drops.append(1.0 - np.mean(totals[-10:]) / np.mean(totals[:10]))
         accs.append(evaluate(track_seq(held, model), held).association_accuracy)
@@ -372,17 +359,3 @@ def test_criterion_6_lifecycle_fuzz():
                    f"{n_new} births, {n_closed} closures, 0 violations")
     assert covered, (n_match, n_dup, n_new, n_closed)
 
-
-def test_criterion_7_edge_update_ablation(features_models):
-    held = crowd(99)
-    runs = {"features": features_models,
-            "weights": train_crowd_models(
-                dataclasses.replace(SMALL, edge_update_mode="weights"))}
-    accs = {mode: [evaluate(track_seq(held, model), held).association_accuracy
-                   for model, _ in models]
-            for mode, models in runs.items()}
-    ok = all(w <= f for w, f in zip(accs["weights"], accs["features"]))
-    _line(7, "edge update ablation",
-          ok, f"weights {['%.3f' % a for a in accs['weights']]} <= "
-              f"features {['%.3f' % a for a in accs['features']]}")
-    assert ok, accs

@@ -107,6 +107,33 @@ def test_unknown_config_field_is_usage_error(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("edge_update_mode", "features"),
+                                          ("heatmap_kernel_width", 10)])
+def test_settings_of_older_versions_are_unknown_fields(tmp_path, capsys, field, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({field: value}))
+    code = run(["synth", "--scenario", "crowd", "--frames", "2",
+                "--config", str(p), "--out", str(p) + ".out"])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: unknown config fields ['{field}']\n"
+
+
+def test_detection_heatmaps_are_ignored_with_a_warning(tmp_path, cfg_path):
+    # the backbone renders its heatmaps from the pose, whatever the file holds
+    seq = short_sequence(tmp_path, cfg_path, crops=True)
+    plain, res = tmp_path / "plain.jsonl", tmp_path / "res.jsonl"
+    assert run(["track", str(seq), "--config", cfg_path, "--out", str(plain)]) == 0
+    doc = json.loads(seq.read_text())
+    k, h, w = SMALL.keypoint_count, SMALL.crop_height, SMALL.crop_width
+    heats = np.random.default_rng(0).uniform(size=(k, h, w)).tolist()
+    doc["frames"][1]["detections"][0]["heatmaps"] = heats
+    seq.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match=r"ignoring unknown field\(s\) \['heatmaps'\] "
+                                         "in frame 1, detection 0"):
+        assert run(["track", str(seq), "--config", cfg_path, "--out", str(res)]) == 0
+    assert res.read_bytes() == plain.read_bytes()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()
@@ -300,26 +327,37 @@ def _header_without_tensors(_full):
     return nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(blob)) + blob
 
 
-def _header_with_entry(entry):
+def _header_with_entry(*entries):
     def damage(full):
-        blob = json.dumps({"version": nn.CHECKPOINT_VERSION, "tensors": [entry]}).encode()
+        blob = json.dumps({"version": nn.CHECKPOINT_VERSION, "tensors": list(entries)}).encode()
         return (nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(blob))
                 + blob + full[-12:])
     return damage
 
 
+BAD_ENTRY = "checkpoint header: tensor entry 0 needs a name and a shape of non-negative integers"
+
+
 # a checkpoint starts with 4 magic bytes, then version and header length
-@pytest.mark.parametrize("damage", [
-    lambda full: full[:4],
-    lambda full: full[:12 + 5],
-    _header_without_tensors,
-    _header_with_entry({"name": "w"}),
-    _header_with_entry({"shape": [3]}),
-    _header_with_entry(["w", [3]]),
-    lambda full: b"not a checkpoint at all",
+@pytest.mark.parametrize("damage, message", [
+    (lambda full: full[:4], "checkpoint header truncated"),
+    (lambda full: full[:12 + 5], "checkpoint header truncated"),
+    (_header_without_tensors, "checkpoint header has no tensors list"),
+    (_header_with_entry({"name": "w"}), BAD_ENTRY),
+    (_header_with_entry({"shape": [3]}), BAD_ENTRY),
+    (_header_with_entry(["w", [3]]), BAD_ENTRY),
+    (lambda full: b"not a checkpoint at all", "not a checkpoint file (bad magic)"),
+    # a terabyte of float32s declared, 12 bytes present: refused before any read
+    (_header_with_entry({"name": "w", "shape": [1099511627776]}),
+     "checkpoint payload truncated"),
+    (lambda full: full[:8] + struct.pack("<I", 0xFFFFFFFF) + full[12:],
+     "checkpoint header truncated"),
+    (_header_with_entry({"name": "w", "shape": [1]}, {"name": "w", "shape": [2]}),
+     "checkpoint header lists tensor w twice"),
 ], ids=["cut_after_magic", "cut_inside_header", "header_without_tensors",
-        "entry_without_shape", "entry_without_name", "entry_not_object", "garbage"])
-def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage):
+        "entry_without_shape", "entry_without_name", "entry_not_object", "garbage",
+        "shape_beyond_payload", "header_length_beyond_file", "name_listed_twice"])
+def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
     seq = short_sequence(tmp_path, cfg_path)
     good = tmp_path / "good.ckpt"
     nn.save_checkpoint(str(good), {"w": np.zeros(3)})
@@ -329,7 +367,7 @@ def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage)
     assert run(["track", str(seq), "--config", cfg_path, "--weights", str(bad)]) == 1
     err = capsys.readouterr().err
     assert_one_error_line(err)
-    assert err.startswith(f"error: {bad}: ")
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_checkpoint_with_unexpected_tensor_is_runtime_error(tmp_path, cfg_path, capsys):
@@ -448,10 +486,6 @@ def _short_crop(doc):
     det["crop"] = [channel[:8] for channel in _as_list(det, "crop")]
 
 
-def _small_heatmaps(doc):
-    doc["frames"][1]["detections"][0]["heatmaps"] = np.zeros((8, 8, 8)).tolist()
-
-
 def _drop_crop(doc):
     del doc["frames"][1]["detections"][0]["crop"]
 
@@ -524,8 +558,7 @@ def _packed_crop_bytes_short(doc):
     doc["frames"][1]["detections"][0]["crop"]["shape"] = [3, 64, 33]
 
 
-CROP_DAMAGES = (_nan_in_crop, _short_crop, _small_heatmaps, _drop_crop, _mixed_frame,
-                _packed_crop_bytes_short)
+CROP_DAMAGES = (_nan_in_crop, _short_crop, _drop_crop, _mixed_frame, _packed_crop_bytes_short)
 NOT_PACKED = "must be a nested list or an object with exactly 'shape' and 'f64le'"
 BAD_SHAPE = "shape must be a list of non-negative integers"
 
@@ -548,8 +581,6 @@ def damaged_sequence(tmp_path, cfg_path, damage):
     # the config's crop is 64x32; both are refused at load, not at frame 1
     (_short_crop, "frame 1, detection 0: crop is 8x32, "
                   "config expects crop_height x crop_width 64x32"),
-    (_small_heatmaps, "frame 1, detection 0: heatmaps are 8x8, "
-                      "config expects crop_height x crop_width 64x32"),
     (_drop_crop, "frame 1, detection 0: has neither an appearance vector nor a crop"),
     # both are refused at load, not when frame 2 runs
     (_short_appearance, "frame 2, detection 1: appearance embedding has length 5, "
@@ -628,17 +659,33 @@ def test_train_refuses_short_appearance_at_load(tmp_path, cfg_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def _frame_1_new_tracks(pairs):
+    return json.dumps({"frame": 1, "assignments": [], "duplicates": [],
+                       "new_tracks": pairs, "closed_tracks": []})
+
+
+PAIRS = "expected [detection index, track id], two non-negative integers"
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ('{"frame": 1, "duplicates": [], "new_tracks": [], "closed_tracks": []}',
      "results line 2: missing field 'assignments'"),
     ("[1, 2]", "results line 2: not a JSON object"),
-], ids=["no_assignments", "not_object"])
+    # each frame of the sequence has 8 detections, indices 0..7
+    (_frame_1_new_tracks([[8, 0]]),
+     "frame 1: detection index 8 is out of range, the frame has 8 detections"),
+    (_frame_1_new_tracks([["x", 0]]), f"results line 2: new_tracks: {PAIRS}, got ['x', 0]"),
+    (_frame_1_new_tracks([[-1, 0]]), f"results line 2: new_tracks: {PAIRS}, got [-1, 0]"),
+    (_frame_1_new_tracks([[True, 0]]), f"results line 2: new_tracks: {PAIRS}, got [True, 0]"),
+], ids=["no_assignments", "not_object", "index_past_detections", "index_string",
+        "index_negative", "index_bool"])
 def test_malformed_results_is_runtime_error(tmp_path, cfg_path, capsys, bad_line, message):
     seq = short_sequence(tmp_path, cfg_path)
     res = tmp_path / "res.jsonl"
     assert run(["track", str(seq), "--config", cfg_path, "--out", str(res)]) == 0
-    first = res.read_text().splitlines()[0]
-    res.write_text(first + "\n" + bad_line + "\n")
+    lines = res.read_text().splitlines()
+    lines[1] = bad_line
+    res.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["eval", str(res), str(seq)]) == 1
     err = capsys.readouterr().err
@@ -666,16 +713,13 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
     ("crop_height", 64.0, "crop_height must be an integer, got 64.0"),
     ("alpha", float("nan"), "alpha must be a finite number, got nan"),
     ("tau_dup", float("inf"), "tau_dup must be a finite number, got inf"),
-    ("heatmap_kernel_width", float("nan"),
-     "heatmap_kernel_width must be a finite number, got nan"),
-    ("heatmap_kernel_width", "10", "heatmap_kernel_width must be a finite number, got '10'"),
     ("oks_kappas", [float("nan")] + [0.08] * 7, "oks_kappas[0] must be finite, got nan"),
     ("oks_kappas", 0.1, "oks_kappas must be a list of numbers, got 0.1"),
     ("oks_kappas", "0.1", "oks_kappas must be a list of numbers, got '0.1'"),
     ("oks_kappas", ["x"] + [0.08] * 7, "oks_kappas[0] must be a number, got 'x'"),
 ], ids=["d_e_negative", "d_e_fraction", "d_bool", "keypoint_count_fraction",
         "tau_age_fraction", "crop_height_float", "alpha_nan", "tau_dup_inf",
-        "heatmap_kernel_width_nan", "heatmap_kernel_width_string", "kappa_nan",
+        "kappa_nan",
         "kappas_number", "kappas_string", "kappa_string"])
 def test_bad_config_value_is_usage_error(tmp_path, cfg_path, capsys, field, value, message):
     # refused when the config is read, before any frame runs or any file is written

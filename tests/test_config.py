@@ -1,6 +1,13 @@
+import dataclasses
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 
 from dstrack.config import EngineConfig, default_kappas, validate_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults_accepted():
@@ -14,7 +21,6 @@ def test_defaults_accepted():
     assert cfg.n_encoder_stages == 2
     assert cfg.n_decoder_stages == 2
     assert cfg.ffn_hidden == 1024
-    assert cfg.heatmap_kernel_width == 10.0
     assert cfg.keypoint_count == 15
     assert len(cfg.oks_kappas) == 15
 
@@ -58,9 +64,12 @@ def test_kappa_validation():
         validate_config(EngineConfig(keypoint_count=15, oks_kappas=bad))
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError, match="edge update mode"):
-        validate_config(EngineConfig(edge_update_mode="nope"))
+def test_readme_config_table_lists_exactly_the_fields():
+    lines = README.read_text().splitlines()
+    start = lines.index("| field | default | meaning |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    listed = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(f.name for f in dataclasses.fields(EngineConfig))
 
 
 def test_tau_and_dims():

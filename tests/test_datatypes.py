@@ -75,16 +75,10 @@ def test_detection_validation():
     box = Box(0, 0, 10, 10)
     with pytest.raises(ValueError, match="score"):
         Detection(box=box, pose=pose, score=2.0)
-    with pytest.raises(ValueError, match="heatmaps"):
-        Detection(box=box, pose=pose, heatmaps=np.zeros((5, 8, 8)))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="appearance must be finite"):
             Detection(box=box, pose=pose, appearance=[0.0, bad, 1.0])
     for bad in (np.nan, np.inf):
-        hm = np.zeros((3, 8, 8))
-        hm[1, 2, 3] = bad
-        with pytest.raises(ValueError, match="heatmaps must be finite"):
-            Detection(box=box, pose=pose, heatmaps=hm)
         crop = np.zeros((3, 8, 4))
         crop[2, 5, 1] = bad
         with pytest.raises(ValueError, match="crop must be finite"):
@@ -92,8 +86,8 @@ def test_detection_validation():
     for shape in ((8, 4), (1, 8, 4), (4, 8, 4), (1, 3, 8, 4)):
         with pytest.raises(ValueError, match=r"crop must have shape \(3, H, W\)"):
             Detection(box=box, pose=pose, crop=np.zeros(shape))
-    d = Detection(box=box, pose=pose, heatmaps=np.zeros((3, 8, 8)), crop=np.zeros((3, 8, 4)))
-    assert d.heatmaps.shape == (3, 8, 8) and d.crop.shape == (3, 8, 4)
+    d = Detection(box=box, pose=pose, crop=np.zeros((3, 8, 4)))
+    assert d.crop.shape == (3, 8, 4)
 
 
 def test_track_validation():
@@ -122,7 +116,7 @@ def test_detection_json_roundtrip_bit_identical(seed):
         pose=pose,
         score=float(rng.uniform()),
         appearance=rng.standard_normal(8),
-        heatmaps=rng.uniform(0, 1, size=(5, 4, 4)),
+        crop=rng.uniform(0, 1, size=(3, 4, 4)),
     )
     back = Detection.from_dict(json.loads(json.dumps(det.to_dict())))
     assert back.box == det.box
@@ -131,7 +125,7 @@ def test_detection_json_roundtrip_bit_identical(seed):
     assert (back.pose.visible == det.pose.visible).all()
     assert back.score == det.score
     assert (back.appearance == det.appearance).all()
-    assert (back.heatmaps == det.heatmaps).all()
+    assert (back.crop == det.crop).all()
 
 
 def test_packed_arrays_round_trip_bit_exact():
@@ -139,14 +133,13 @@ def test_packed_arrays_round_trip_bit_exact():
     edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, big, -big, 0.1]
     det = Detection(box=Box(0, 0, 1, 1), pose=make_pose(k=2),
                     appearance=edge,
-                    heatmaps=np.reshape(edge * 2, (2, 2, 4)),
                     crop=np.reshape(edge * 3, (3, 2, 4)))
     d = det.to_dict()
     # C-order little-endian float64 bytes, independent of the host's order
     assert d["appearance"] == {"shape": [8],
                                "f64le": base64.b64encode(struct.pack("<8d", *edge)).decode()}
     back = Detection.from_dict(json.loads(json.dumps(d)))
-    for name in ("appearance", "heatmaps", "crop"):
+    for name in ("appearance", "crop"):
         a, b = getattr(det, name), getattr(back, name)
         assert a.shape == b.shape and a.dtype == b.dtype == np.float64
         assert a.tobytes() == b.tobytes()
@@ -156,5 +149,4 @@ def test_optional_fields_survive_roundtrip_absence():
     det = Detection(box=Box(0, 0, 1, 1), pose=make_pose(k=2))
     back = Detection.from_dict(json.loads(json.dumps(det.to_dict())))
     assert back.appearance is None
-    assert back.heatmaps is None
     assert back.crop is None

@@ -18,7 +18,12 @@ from dstrack.config import EngineConfig
 from dstrack.datatypes import Pose
 from dstrack.heuristics import build_heuristic_model
 from dstrack.sequence_io import result_to_dict
-from dstrack.spapde import appearance_embed_batch, init_backbone_params, render_heatmaps
+from dstrack.spapde import (
+    HEATMAP_KERNEL_WIDTH,
+    appearance_embed_batch,
+    init_backbone_params,
+    render_heatmaps,
+)
 from dstrack.synth import SCENARIOS, synth_sequence
 from dstrack.tracker import run_sequence
 from dstrack.training import labeled_frames, train_toy
@@ -69,7 +74,7 @@ def golden_backbone_text():
     heats = np.stack([
         render_heatmaps(Pose(coords=rng.uniform(0.0, 1.0, size=(k, 2)) * (w, h),
                              conf=np.ones(k), visible=np.ones(k, bool)),
-                        h, w, cfg.heatmap_kernel_width)
+                        h, w, HEATMAP_KERNEL_WIDTH)
         for _ in range(3)])
     embed = appearance_embed_batch(crops, heats, store).data
     seq = synth_sequence("crossing", n_frames=6, seed=0, cfg=SMALL, crops=True)

@@ -67,12 +67,11 @@ def test_save_is_deterministic(tmp_path):
 
 
 def array_sequence():
-    """Two frames whose detections carry all three array fields."""
+    """Two frames whose detections carry both array fields."""
     rng = np.random.default_rng(0)
     frames = []
     for t in range(2):
         dets = [Detection(box=d.box, pose=d.pose, appearance=rng.standard_normal(3),
-                          heatmaps=rng.uniform(0, 1, size=(4, 2, 3)),
                           crop=rng.standard_normal((3, 2, 3)))
                 for d in (one_detection(10.0 + t), one_detection(50.0 + t))]
         frames.append(SequenceFrame(index=t, image_size=(128, 256), detections=dets,
@@ -80,7 +79,7 @@ def array_sequence():
     return SequenceFile(sequence_id="arrays", fps=25.0, frames=frames)
 
 
-ARRAY_FIELDS = ("appearance", "heatmaps", "crop")
+ARRAY_FIELDS = ("appearance", "crop")
 
 
 def test_save_load_save_is_byte_identical(tmp_path):

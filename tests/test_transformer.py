@@ -230,15 +230,6 @@ def test_edge_refresh_shared_ffn_e():
     np.testing.assert_allclose(flat[1:], np.full(3, flat[0]), atol=1e-12)
 
 
-def test_edge_update_mode_weights_changes_input():
-    m_feat = model(seed=12)
-    m_wts = TrackingModel(tiny_cfg(edge_update_mode="weights"), seed=12)
-    e_t, o_edge, e_d = rnd((2, 8), 13), rnd((2, 3), 14), rnd((3, 8), 15)
-    _, ef, _ = m_feat.decoder_forward(e_t, o_edge, e_d)
-    _, ew, _ = m_wts.decoder_forward(e_t, o_edge, e_d)
-    assert np.abs(ef.data - ew.data).max() > 1e-8
-
-
 def test_heads_have_distinct_parameters():
     for seed in range(5):
         m = model(seed=seed)
