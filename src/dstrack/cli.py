@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .config import EngineConfig
-from .evaluate import evaluate
+from .evaluate import check_results, evaluate
 from .gradsuite import format_outcomes, run_suite, suite_passed
 from .heuristics import build_heuristic_model
 from .sequence_io import (
@@ -204,7 +204,8 @@ def cmd_eval(args) -> int:
         results = read_results_jsonl(args.results)
     with _reading(args.gt):
         gt = load_sequence(args.gt)
-    with _reading(args.results):  # results that name a detection gt lacks
+    with _reading(args.results):  # results that do not fit the ground truth
+        check_results(results, gt)
         report = evaluate(results, gt)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:

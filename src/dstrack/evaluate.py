@@ -58,6 +58,18 @@ def _match_frame(outputs, gt_indices, dets):
     return [(a, b) for a, b in hungarian(-scores) if scores[a, b] > IOU_MATCH_THRESHOLD]
 
 
+def check_results(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> None:
+    """Refuse results that tracking `gt` cannot write: record k names frame k
+    and places each of its detections in one bucket.  evaluate() also
+    scores partial results, counting an unlisted detection as a miss."""
+    for k, ((frame_index, res), frame) in enumerate(zip(results, gt.frames)):
+        if frame_index != k:
+            raise ValueError(f"record {k} names frame {frame_index}, expected frame {k}")
+        fault = res.partition_fault(len(frame.detections))
+        if fault is not None:
+            raise ValueError(f"frame {k}: {fault}")
+
+
 def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> EvalReport:
     if len(results) != len(gt.frames):
         raise ValueError(f"frame count mismatch: results cover {len(results)} frames, "
@@ -71,14 +83,10 @@ def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> Ev
     # identity -> ordered list of matched track ids (one per matched frame)
     history: Dict[int, List[int]] = {}
 
-    for (frame_index, res), frame in zip(results, gt.frames):
+    for (_, res), frame in zip(results, gt.frames):
         gt_indices = [i for i, ident in enumerate(frame.identities)
                       if ident is not None and i not in frame.duplicates]
         outputs = _frame_outputs(res)
-        for det_idx, _ in outputs:
-            if det_idx >= len(frame.detections):
-                raise ValueError(f"frame {frame_index}: detection index {det_idx} is out of "
-                                 f"range, the frame has {len(frame.detections)} detections")
         pairs = _match_frame(outputs, gt_indices, frame.detections)
         total_gt += len(gt_indices)
         misses += len(gt_indices) - len(pairs)

@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .config import EngineConfig
 from .spapde import init_spapde_params, spapde_forward, spapde_modulation
-from .training import loss_attn, loss_match, total_loss
+from .training import loss_attn, total_loss
 from .transformer import TrackingModel, dual_source_attention
 
 TOL = 1e-4
@@ -250,14 +250,6 @@ def _check_spapde_stack(rng):
     return run, [f, heat] + params
 
 
-def _check_loss_match(rng):
-    logits = _t(rng, 3, 3, scale=1.5)
-
-    def run(lg):
-        return loss_match(nn.softmax_null(lg), [0, None, 1], [0, 1])
-    return run, [logits]
-
-
 def _check_loss_attn(rng):
     logits = _t(rng, 2, 4, scale=1.5)
 
@@ -270,7 +262,7 @@ def _check_total_loss(rng):
     m, e, d = _t(rng, 2, 3, scale=1.5), _t(rng, 3, 3, scale=1.5), _t(rng, 2, 3, scale=1.5)
 
     def run(ml, el, dl):
-        match = loss_match(nn.softmax_null(ml), [0, 1], [0, 1])
+        match = loss_attn(nn.softmax_null(ml), [[0], [1]])
         enc = loss_attn(nn.softmax_null(el), [[0], [1], [2]])
         dec = loss_attn(nn.softmax_null(dl), [[1], [0, 2]])
         return total_loss(match, [enc], [dec])
@@ -306,7 +298,6 @@ CHECKS: List = [
     ("composite encoder_stage", _check_encoder_stage),
     ("composite forward_frame", _check_forward_frame),
     ("composite spapde_stack", _check_spapde_stack),
-    ("loss match", _check_loss_match),
     ("loss attn", _check_loss_attn),
     ("loss total", _check_total_loss),
 ]

@@ -185,22 +185,34 @@ def result_to_dict(frame_index: int, res: FrameResult) -> dict:
     }
 
 
+def _is_index(v) -> bool:
+    """A non-negative integer that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _index_pairs(d: dict, key: str) -> List[Tuple[int, int]]:
     """d[key] as (detection index, track id) pairs of non-negative integers."""
     for item in d[key]:
-        if not (isinstance(item, list) and len(item) == 2 and all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_index, item))):
             raise ValueError(f"{key}: expected [detection index, track id], two "
                              f"non-negative integers, got {item!r}")
     return [(a, b) for a, b in d[key]]
 
 
+def _indices(d: dict, key: str) -> List[int]:
+    """d[key] as a list of non-negative integers."""
+    for item in d[key]:
+        if not _is_index(item):
+            raise ValueError(f"{key}: expected a non-negative integer, got {item!r}")
+    return list(d[key])
+
+
 def result_from_dict(d: dict) -> Tuple[int, FrameResult]:
     res = FrameResult(
         assignments=_index_pairs(d, "assignments"),
-        duplicates=list(d["duplicates"]),
+        duplicates=_indices(d, "duplicates"),
         new_tracks=_index_pairs(d, "new_tracks"),
-        closed_tracks=list(d["closed_tracks"]),
+        closed_tracks=_indices(d, "closed_tracks"),
     )
     return int(d["frame"]), res
 

@@ -97,9 +97,10 @@ def appearance_embed_batch(crops, heatmaps, store: nn.ParamStore) -> nn.Tensor:
     hm = np.asarray(heatmaps, dtype=np.float64)
     x = nn.Tensor(np.asarray(crops, dtype=np.float64))
     for s in range(len(STAGE_CHANNELS)):
+        if s:  # the heatmaps follow x down to the previous stage's pooled size
+            hm = nn.avg_pool2(hm)
         x = nn.conv3x3(x, store[f"backbone.stage{s}.conv.w"], store[f"backbone.stage{s}.conv.b"])
         gamma, beta = spapde_modulation(hm, store, f"backbone.stage{s}.spapde")
         x = nn.avg_pool2(nn.relu(spapde_forward(x, gamma, beta)))
-        hm = nn.avg_pool2(hm)
     pooled = nn.reduce_mean(x, axis=(2, 3))
     return nn.linear(pooled, store["backbone.head.w"], store["backbone.head.b"])

@@ -36,9 +36,22 @@ class FrameResult:
 
     def detection_partition(self, n_detections: int) -> bool:
         """True when every detection index lands in exactly one bucket."""
+        return self.partition_fault(n_detections) is None
+
+    def partition_fault(self, n_detections: int) -> Optional[str]:
+        """What breaks the partition (the first index out of range, else the
+        first detection not listed exactly once), or None."""
         seen = ([i for i, _ in self.assignments] + list(self.duplicates)
                 + [i for i, _ in self.new_tracks])
-        return sorted(seen) == list(range(n_detections))
+        for i in seen:
+            if not 0 <= i < n_detections:
+                return (f"detection index {i} is out of range, the frame has "
+                        f"{n_detections} detections")
+        for i in range(n_detections):
+            if seen.count(i) != 1:
+                where = f"listed {seen.count(i)} times in" if i in seen else "missing from"
+                return f"detection {i} is {where} assignments, duplicates and new_tracks"
+        return None
 
 
 @dataclass

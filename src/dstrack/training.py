@@ -42,31 +42,16 @@ DUPLICATE_SHIFT_JITTER = 3.0
 # ---------------------------------------------------------------------------
 # identity labels
 
-@dataclass
-class IdentityLabels:
-    """Ground-truth identity of each detection (None = unlabeled)."""
-
-    det_identity: List[Optional[int]]
-
-    def groups(self) -> Dict[int, List[int]]:
-        """identity -> detection indices sharing it (duplicate groups)."""
-        out: Dict[int, List[int]] = {}
-        for i, ident in enumerate(self.det_identity):
-            if ident is not None:
-                out.setdefault(ident, []).append(i)
-        return out
-
-
 def greedy_identity_assignment(det_poses: Sequence[Pose], gt_poses: Sequence[Pose],
                                gt_ids: Sequence[int], gt_boxes: Sequence[Box],
-                               kappas, floor: float = GREEDY_OKS_FLOOR) -> IdentityLabels:
-    """Label detections by repeatedly taking the globally best detection/gt
-    pair by shared-keypoint OKS, above a floor.  Each gt is used once, each
-    detection at most once."""
+                               kappas, floor: float = GREEDY_OKS_FLOOR) -> List[Optional[int]]:
+    """Label detections (None = unlabeled) by repeatedly taking the globally
+    best detection/gt pair by shared-keypoint OKS, above a floor.  Each gt is
+    used once, each detection at most once."""
     n_det, n_gt = len(det_poses), len(gt_poses)
     labels: List[Optional[int]] = [None] * n_det
     if n_det == 0 or n_gt == 0:
-        return IdentityLabels(labels)
+        return labels
     # shared OKS is symmetric in the two poses, so score with the gt first
     # (its box is the scale) and transpose to detections x gt
     sim = oks_grid(gt_poses, det_poses, [b.area for b in gt_boxes], kappas)[:, :, 0].T.copy()
@@ -77,29 +62,11 @@ def greedy_identity_assignment(det_poses: Sequence[Pose], gt_poses: Sequence[Pos
         labels[i] = gt_ids[j]
         sim[i, :] = -np.inf
         sim[:, j] = -np.inf
-    return IdentityLabels(labels)
+    return labels
 
 
 # ---------------------------------------------------------------------------
 # losses
-
-def loss_match(match: nn.Tensor, det_identity: Sequence[Optional[int]],
-               track_identity: Sequence[Optional[int]]) -> nn.Tensor:
-    """Cross-entropy on the assignment matrix (detections x tracks+null).
-
-    A labeled detection whose identity appears in the track set is pushed
-    toward that track's column, every other detection toward the null
-    column.
-    """
-    n_det = match.data.shape[0]
-    n_track = match.data.shape[1] - 1
-    if n_det == 0:
-        return nn.Tensor(np.zeros(()))
-    track_col = {ident: j for j, ident in enumerate(track_identity) if ident is not None}
-    cols = [track_col.get(det_identity[i], n_track) for i in range(n_det)]
-    picked = nn.take(match, (np.arange(n_det), np.asarray(cols)))
-    return nn.mul(nn.reduce_sum(nn.log(nn.clip(picked, PROB_EPS, 1.0))), -1.0 / n_det)
-
 
 def loss_attn(attn: nn.Tensor, row_groups: Sequence[Sequence[int]]) -> nn.Tensor:
     """Duplicate-aware cross-entropy on one attention matrix.
@@ -228,34 +195,38 @@ class _TeacherTrack:
     last_box: Box
 
 
-def _frame_labels(frame: SequenceFrame, cfg: EngineConfig) -> IdentityLabels:
+def _frame_labels(frame: SequenceFrame, cfg: EngineConfig) -> List[Optional[int]]:
     """Recover detection identities by greedy OKS matching against the
     frame's own labeled poses (canonical detections, duplicates excluded),
     then copy identities onto injected duplicates by index."""
-    canonical = {}
-    for i, ident in enumerate(frame.identities):
-        if ident is not None and ident not in canonical:
-            canonical[ident] = i
-    gt_ids = list(canonical)
-    gt_poses = [frame.detections[canonical[g]].pose for g in gt_ids]
-    gt_boxes = [frame.detections[canonical[g]].box for g in gt_ids]
+    canonical = [group[0] for group in identity_groups(frame.identities).values()]
+    gt_ids = [frame.identities[i] for i in canonical]
+    gt_poses = [frame.detections[i].pose for i in canonical]
+    gt_boxes = [frame.detections[i].box for i in canonical]
     labels = greedy_identity_assignment(
         [d.pose for d in frame.detections], gt_poses, gt_ids, gt_boxes,
         cfg.oks_kappas)
     # injected duplicates carry their identity explicitly; trust the metadata
-    merged = list(labels.det_identity)
     for i, ident in enumerate(frame.identities):
         if ident is not None:
-            merged[i] = ident
-    return IdentityLabels(merged)
+            labels[i] = ident
+    return labels
 
 
-def _encoder_groups(labels: IdentityLabels) -> List[List[int]]:
-    groups = labels.groups()
-    out = []
-    for i, ident in enumerate(labels.det_identity):
-        out.append(groups[ident] if ident is not None else [i])
+def identity_groups(labels: Sequence[Optional[int]]) -> Dict[int, List[int]]:
+    """identity -> indices of the detections carrying it (duplicate groups)."""
+    out: Dict[int, List[int]] = {}
+    for i, ident in enumerate(labels):
+        if ident is not None:
+            out.setdefault(ident, []).append(i)
     return out
+
+
+def match_groups(labels: Sequence[Optional[int]], track_ids: Sequence[int]) -> List[List[int]]:
+    """Per detection, its loss_attn group on the match matrix: the column of
+    the track with its identity, else [] (the null column)."""
+    col = {ident: j for j, ident in enumerate(track_ids)}
+    return [[col[ident]] if ident in col else [] for ident in labels]
 
 
 def labeled_frames(seq) -> List[SequenceFrame]:
@@ -324,20 +295,22 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
     teacher: List[_TeacherTrack] = []
     for f, frame in enumerate(frames):
         labels = _frame_labels(frame, cfg)
+        groups = identity_groups(labels)
         e_d = detection_embeddings(frame.detections, model)
         if f == 0:
             enc_out, enc_attn = model.encoder_forward(e_d)
         else:
             fwd = model.forward_frame(e_t, edge_features(teacher, frame.detections, cfg), e_d)
             e_t, enc_out, enc_attn = fwd.updated_tracks, fwd.enc_out, fwd.enc_attn
-            match_acc = nn.add(match_acc, loss_match(fwd.match, labels.det_identity, track_ids))
-            groups = labels.groups()
+            match_acc = nn.add(match_acc, loss_attn(fwd.match, match_groups(labels, track_ids)))
             track_groups = [groups.get(ident, []) for ident in track_ids]
             for k in range(n_dec):
                 dec_acc[k] = nn.add(dec_acc[k], loss_attn(fwd.bundles[k].fused, track_groups))
+        # a labeled detection attends to its duplicate group, any other to itself
+        enc_groups = [groups.get(ident, [i]) for i, ident in enumerate(labels)]
         for k in range(n_enc):
-            enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], _encoder_groups(labels)))
-        e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame, labels,
+            enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], enc_groups))
+        e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame, groups,
                                                  track_ids, teacher)
 
     total = total_loss(match_acc, enc_acc, dec_acc)
@@ -355,13 +328,12 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
 
 
 def _advance_state(model: TrackingModel, e_t: nn.Tensor, enc_out: nn.Tensor,
-                   frame: SequenceFrame, labels: IdentityLabels, track_ids: List[int],
+                   frame: SequenceFrame, groups: Dict[int, List[int]], track_ids: List[int],
                    teacher: List[_TeacherTrack]):
     """Ground-truth-matched update: existing tracks keep their embedding row
     of e_t and adopt the canonical detection geometry; unseen identities open
     teacher-forced new tracks from the new-track head on the canonical
     detection's row of enc_out."""
-    groups = labels.groups()
     new_track_ids = list(track_ids)
     new_teacher = []
     for pos, ident in enumerate(track_ids):

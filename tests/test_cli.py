@@ -309,6 +309,32 @@ def test_python_m_dstrack_runs_the_cli():
     assert b"usage: dstrack gradcheck" in proc.stdout
 
 
+def test_one_and_two_blas_threads_give_the_same_bytes(tmp_path):
+    # at the default config (d = 256, ffn_hidden = 1024) the feed-forward
+    # matmuls are large enough for OpenBLAS to split them across threads;
+    # track and train output must not depend on that split.  One process per
+    # thread count runs both commands, since importing numpy dominates.
+    src = str(Path(dstrack.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    seq = tmp_path / "seq.json"
+    assert run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "3",
+                "--out", str(seq)]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        commands = [["track", str(seq), "--out", str(out / "res.jsonl")],
+                    ["train", str(seq), "--iters", "2", "--out", str(out / "m.ckpt"),
+                     "--curve", str(out / "loss.csv")]]
+        script = ("import sys\nfrom dstrack.cli import main\n"
+                  f"sys.exit(max(main(argv) for argv in {commands!r}))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("res.jsonl", "loss.csv", "m.ckpt")])
+    assert outputs[0] == outputs[1]
+
+
 def assert_one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -659,12 +685,16 @@ def test_train_refuses_short_appearance_at_load(tmp_path, cfg_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def _frame_1_new_tracks(pairs):
-    return json.dumps({"frame": 1, "assignments": [], "duplicates": [],
-                       "new_tracks": pairs, "closed_tracks": []})
+def _frame_1_new_tracks(pairs, **fields):
+    return json.dumps(dict({"frame": 1, "assignments": [], "duplicates": [],
+                            "new_tracks": pairs, "closed_tracks": []}, **fields))
 
 
 PAIRS = "expected [detection index, track id], two non-negative integers"
+INDEX = "expected a non-negative integer"
+BUCKETS = "assignments, duplicates and new_tracks"
+# frame 1's 8 detections, each opening a track: a record that partitions them
+EACH_NEW = [[i, 10 + i] for i in range(8)]
 
 
 @pytest.mark.parametrize("bad_line, message", [
@@ -677,8 +707,20 @@ PAIRS = "expected [detection index, track id], two non-negative integers"
     (_frame_1_new_tracks([["x", 0]]), f"results line 2: new_tracks: {PAIRS}, got ['x', 0]"),
     (_frame_1_new_tracks([[-1, 0]]), f"results line 2: new_tracks: {PAIRS}, got [-1, 0]"),
     (_frame_1_new_tracks([[True, 0]]), f"results line 2: new_tracks: {PAIRS}, got [True, 0]"),
+    (_frame_1_new_tracks(EACH_NEW, duplicates=["x"]),
+     f"results line 2: duplicates: {INDEX}, got 'x'"),
+    (_frame_1_new_tracks(EACH_NEW, closed_tracks=[-1]),
+     f"results line 2: closed_tracks: {INDEX}, got -1"),
+    (_frame_1_new_tracks(EACH_NEW, frame=2), "record 1 names frame 2, expected frame 1"),
+    (_frame_1_new_tracks(EACH_NEW + [[0, 5]]),
+     f"frame 1: detection 0 is listed 2 times in {BUCKETS}"),
+    (_frame_1_new_tracks(EACH_NEW, duplicates=[3]),
+     f"frame 1: detection 3 is listed 2 times in {BUCKETS}"),
+    (_frame_1_new_tracks(EACH_NEW[:7]), f"frame 1: detection 7 is missing from {BUCKETS}"),
 ], ids=["no_assignments", "not_object", "index_past_detections", "index_string",
-        "index_negative", "index_bool"])
+        "index_negative", "index_bool", "duplicate_string", "closed_track_negative",
+        "frame_named_elsewhere", "detection_listed_twice", "duplicate_also_assigned",
+        "detection_missing"])
 def test_malformed_results_is_runtime_error(tmp_path, cfg_path, capsys, bad_line, message):
     seq = short_sequence(tmp_path, cfg_path)
     res = tmp_path / "res.jsonl"

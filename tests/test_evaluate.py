@@ -4,7 +4,7 @@ import pytest
 
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
-from dstrack.evaluate import evaluate
+from dstrack.evaluate import check_results, evaluate
 from dstrack.sequence_io import SequenceFile, SequenceFrame
 from dstrack.tracker import FrameResult
 
@@ -81,6 +81,38 @@ def test_length_mismatch_names_both_counts():
     with pytest.raises(ValueError) as e:
         evaluate(perfect_results(1), gt_two_identities(3))
     assert str(e.value) == "frame count mismatch: results cover 1 frames, ground truth 3"
+
+
+def test_check_results_wants_record_k_to_partition_frame_k():
+    gt = gt_two_identities(4)
+    check_results(perfect_results(4), gt)
+    renumbered = [(3 - k, res) for k, res in perfect_results(4)]
+    with pytest.raises(ValueError) as e:
+        check_results(renumbered, gt)
+    assert str(e.value) == "record 0 names frame 3, expected frame 0"
+    # frame 1 leaves detection 1 out: evaluate() scores it as a miss,
+    # check_results() refuses it
+    partial = [(0, FrameResult(new_tracks=[(0, 0), (1, 1)])),
+               (1, FrameResult(assignments=[(0, 0)]))]
+    assert evaluate(partial, gt_two_identities(2)).misses == 1
+    with pytest.raises(ValueError) as e:
+        check_results(partial, gt_two_identities(2))
+    assert str(e.value) == ("frame 1: detection 1 is missing from assignments, "
+                            "duplicates and new_tracks")
+
+
+@pytest.mark.parametrize("res, fault", [
+    (FrameResult(assignments=[(0, 4)], duplicates=[2], new_tracks=[(1, 5)]), None),
+    (FrameResult(assignments=[(0, 4)], duplicates=[2], new_tracks=[(3, 5)]),
+     "detection index 3 is out of range, the frame has 3 detections"),
+    (FrameResult(assignments=[(0, 4)], duplicates=[0, 2], new_tracks=[(1, 5)]),
+     "detection 0 is listed 2 times in assignments, duplicates and new_tracks"),
+    (FrameResult(assignments=[(0, 4)], new_tracks=[(1, 5)]),
+     "detection 2 is missing from assignments, duplicates and new_tracks"),
+])
+def test_partition_fault_names_the_first_fault(res, fault):
+    assert res.partition_fault(3) == fault
+    assert res.detection_partition(3) is (fault is None)
 
 
 def test_miss_and_false_positive_accounting():

@@ -13,12 +13,12 @@ from dstrack.training import (
     DUPLICATE_PROB,
     GREEDY_OKS_FLOOR,
     AdamW,
-    IdentityLabels,
     greedy_identity_assignment,
+    identity_groups,
     inject_duplicate,
     labeled_frames,
     loss_attn,
-    loss_match,
+    match_groups,
     subsequences,
     toy_lr,
     total_loss,
@@ -57,19 +57,19 @@ def test_greedy_identity_exact_match():
     poses = [pose_at(0, 0), pose_at(100, 0), pose_at(0, 100)]
     boxes = [Box(x, y, x + 20, y + 20) for x, y in [(0, 0), (100, 0), (0, 100)]]
     labels = greedy_identity_assignment(poses, poses, [7, 8, 9], boxes, KAP)
-    assert labels.det_identity == [7, 8, 9]
+    assert labels == [7, 8, 9]
 
 
 def test_greedy_no_gt():
     labels = greedy_identity_assignment([pose_at(0, 0)], [], [], [], KAP)
-    assert labels.det_identity == [None]
+    assert labels == [None]
 
 
 def test_greedy_floor_blocks_weak_matches():
     det = [pose_at(0, 0)]
     gt = [pose_at(500, 500)]
     labels = greedy_identity_assignment(det, gt, [1], [Box(500, 500, 520, 520)], KAP)
-    assert labels.det_identity == [None]
+    assert labels == [None]
 
 
 def greedy_trace_oracle(sim, gt_ids, floor):
@@ -95,9 +95,9 @@ def test_greedy_three_dets_two_gts_hand_ordering():
 
     sim = np.array([[oks_triplet(d, g, b, KAP)[0] for g, b in zip(gt, boxes)]
                     for d in dets])
-    assert labels.det_identity == greedy_trace_oracle(sim, gt_ids, 0.3)
+    assert labels == greedy_trace_oracle(sim, gt_ids, 0.3)
     # each identity at most once
-    used = [l for l in labels.det_identity if l is not None]
+    used = [l for l in labels if l is not None]
     assert len(used) == len(set(used))
 
 
@@ -122,20 +122,50 @@ def test_greedy_matches_trace_oracle_on_scalar_oks(seed):
     labels = greedy_identity_assignment(dets, gt, gt_ids, boxes, KAP)
     sim = np.array([[oks_triplet(d, g, b, KAP)[0] for g, b in zip(gt, boxes)]
                     for d in dets])
-    assert labels.det_identity == greedy_trace_oracle(sim, gt_ids, GREEDY_OKS_FLOOR)
+    assert labels == greedy_trace_oracle(sim, gt_ids, GREEDY_OKS_FLOOR)
 
 
 def test_identity_groups():
-    labels = IdentityLabels([5, None, 5, 7])
-    assert labels.groups() == {5: [0, 2], 7: [3]}
+    assert identity_groups([5, None, 5, 7]) == {5: [0, 2], 7: [3]}
 
 
 # ---------------------------------------------------------------------------
-# matching loss
+# matching loss: loss_attn on the matching layer's D x (T+1) output, one
+# column per detection from match_groups
 
 def M_rows(rows):
     rows = np.asarray(rows, dtype=np.float64)
     return nn.Tensor(rows, requires_grad=True)
+
+
+def loss_match(match, det_identity, track_identity):
+    """The match term as the trainer builds it."""
+    return loss_attn(match, match_groups(det_identity, track_identity))
+
+
+def test_match_groups_map_identities_to_track_columns():
+    # unlabeled -> null, identity without a track -> null, duplicates of one
+    # identity -> the same column
+    assert match_groups([4, None, 9, 4, 7], [7, 4]) == [[1], [], [], [1], [0]]
+    assert match_groups([3], []) == [[]]
+    assert match_groups([], [1, 2]) == []
+
+
+def test_match_term_is_the_mean_log_of_the_picked_entries():
+    # with one column per row, loss_attn's masked row sum is the picked entry
+    # itself, so the term is bit-equal to -mean(log(M[i, col(i)]))
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        n_det, n_track = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+        raw = rng.uniform(size=(n_det, n_track + 1))
+        raw /= raw.sum(axis=1, keepdims=True)
+        dets = [int(v) if v < n_track + 2 else None
+                for v in rng.integers(0, n_track + 3, size=n_det)]
+        tracks = list(range(n_track))
+        cols = [g[0] if g else n_track for g in match_groups(dets, tracks)]
+        picked = np.clip(raw[np.arange(n_det), cols], 1e-12, 1.0)
+        expect = np.sum(np.log(picked)) * (-1.0 / n_det)
+        assert float(loss_match(nn.Tensor(raw), dets, tracks).data) == expect
 
 
 def test_loss_match_perfect_prediction():
