@@ -178,7 +178,13 @@ def cmd_track(args) -> int:
     if crops_only and "backbone.head.w" not in model.store:
         raise ValueError(f"{args.weights}: checkpoint has no backbone.* tensors to embed "
                          f"the detections of {args.sequence} that have only a crop")
-    rows = [(idx, res) for idx, res, _ in run_sequence(frames, model)]
+    rows = []
+    try:
+        for idx, res, _ in run_sequence(frames, model):
+            rows.append((idx, res))
+    except FloatingPointError as e:  # raised under main's np.errstate
+        raise FloatingPointError(
+            f"{args.sequence}: frame {seq.frames[len(rows)].index}, {e}") from None
     if args.out:
         write_results_jsonl(rows, args.out)
     else:
@@ -244,7 +250,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # a float overflow, 0/0 or division by zero stops the command; an
+        # underflow does not, since softmax and GELU tails underflow by design
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

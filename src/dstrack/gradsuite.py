@@ -17,7 +17,7 @@ from . import nn
 from .config import EngineConfig
 from .spapde import init_spapde_params, spapde_forward, spapde_modulation
 from .training import loss_attn, total_loss
-from .transformer import TrackingModel, dual_source_attention
+from .transformer import TrackingModel, aggregate, dual_source
 
 TOL = 1e-4
 
@@ -177,8 +177,8 @@ def _check_dual_source_attention(rng):
     params = [s[f"{p}.wq"], s[f"{p}.wk"], s[f"{p}.wa"]]
 
     def run(et, ed, oe, wq, wk, wa):
-        delta, bundle = dual_source_attention(et, ed, oe, 0.3, wq, wk, wa)
-        return nn.concat([nn.reshape(delta, (12,)),
+        bundle = dual_source(et, ed, oe, 0.3, wq, wk)
+        return nn.concat([nn.reshape(aggregate(bundle.fused, ed, wa), (12,)),
                           nn.reshape(bundle.fused, (8,))], axis=0)
     return run, [e_t, e_d, o_edge] + params
 
@@ -204,7 +204,7 @@ def _check_matching_layer(rng):
     params = [s["match.wq"], s["match.wk"]]
 
     def run(et, ed, oe, *_params):
-        return model.matching_layer(et, ed, oe)
+        return model.matching_layer(et, ed, oe).fused
     return run, [e_t, e_d, o_edge] + params
 
 
@@ -228,7 +228,7 @@ def _check_forward_frame(rng):
 
     def run(et, edge, ed):
         fwd = model.forward_frame(et, edge, ed)
-        return nn.concat([nn.reshape(fwd.match, (9,)),
+        return nn.concat([nn.reshape(fwd.match.fused, (9,)),
                           nn.reshape(fwd.updated_tracks, (12,))], axis=0)
     return run, [e_t, raw_edge, e_d]
 

@@ -214,7 +214,10 @@ def result_from_dict(d: dict) -> Tuple[int, FrameResult]:
         new_tracks=_index_pairs(d, "new_tracks"),
         closed_tracks=_indices(d, "closed_tracks"),
     )
-    return int(d["frame"]), res
+    frame = d["frame"]
+    if not _is_index(frame):
+        raise ValueError(f"frame: expected a non-negative integer, got {frame!r}")
+    return frame, res
 
 
 def write_results_jsonl(frame_results: Sequence[Tuple[int, FrameResult]], path: str) -> None:

@@ -206,7 +206,7 @@ def step(state: TrackerState, detections: Sequence[Detection], model: TrackingMo
     e_t_old = np.stack([t.embedding for t in tracks]) if tracks else np.zeros((0, cfg.d))
     fwd = model.forward_frame(e_t_old, raw, e_d0)
 
-    matched, dup_idx, new_idx = assign_and_filter(fwd.match.data, cfg.tau_dup)
+    matched, dup_idx, new_idx = assign_and_filter(fwd.match.fused.data, cfg.tau_dup)
 
     next_id = state.next_id
     result = FrameResult(duplicates=list(dup_idx))

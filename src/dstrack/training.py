@@ -302,7 +302,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
         else:
             fwd = model.forward_frame(e_t, edge_features(teacher, frame.detections, cfg), e_d)
             e_t, enc_out, enc_attn = fwd.updated_tracks, fwd.enc_out, fwd.enc_attn
-            match_acc = nn.add(match_acc, loss_attn(fwd.match, match_groups(labels, track_ids)))
+            match_acc = nn.add(match_acc, loss_attn(fwd.match.fused, match_groups(labels, track_ids)))
             track_groups = [groups.get(ident, []) for ident in track_ids]
             for k in range(n_dec):
                 dec_acc[k] = nn.add(dec_acc[k], loss_attn(fwd.bundles[k].fused, track_groups))

@@ -1,12 +1,14 @@
 """Dual-source attention transformer.
 
-Track embeddings attend over detections through two parallel channels: an
-appearance channel (dot-product cross-attention on embeddings) and a pose
-channel (per-pair geometry logits).  Both channels are normalized with an
-extra null column so a row can place mass on "no detection matches me", and
-the alpha gate blends the two row-stochastic matrices:
+`dual_source` attends queries over keys through two parallel channels: an
+appearance channel (dot-product attention on embeddings) and a pose channel
+(per-pair geometry logits).  Both are normalized with an extra null column
+so a row can place mass on "nothing matches me", and the alpha gate blends
+the two row-stochastic matrices:
 
     A = alpha * S_appearance + (1 - alpha) * S_geometry
+
+Decoder stages run it track-major, the matching layer detection-major.
 
 Every edge output layer (the edge head's `w3`, each decoder stage's
 `ffn_e.w2`) is a single row, so only T x D geometry-logit matrices pass
@@ -28,13 +30,13 @@ from .config import EngineConfig
 
 @dataclass
 class AttentionBundle:
-    """Everything one dual-source attention evaluation produced."""
+    """Everything one dual-source attention produced, Q queries by K keys."""
 
-    o_appear: nn.Tensor   # T x D raw appearance logits
-    o_edge: nn.Tensor     # T x D raw geometry logits
-    s_appear: nn.Tensor   # T x (D+1) row-stochastic
-    s_edge: nn.Tensor     # T x (D+1) row-stochastic
-    fused: nn.Tensor      # T x (D+1) alpha-gated blend
+    o_appear: nn.Tensor   # Q x K raw appearance logits
+    o_edge: nn.Tensor     # Q x K raw geometry logits
+    s_appear: nn.Tensor   # Q x (K+1) row-stochastic
+    s_edge: nn.Tensor     # Q x (K+1) row-stochastic
+    fused: nn.Tensor      # Q x (K+1) alpha-gated blend
 
 
 @dataclass
@@ -43,11 +45,11 @@ class FrameForward:
 
     enc_out: nn.Tensor                 # D x d encoded detections
     enc_attn: List[nn.Tensor]          # per encoder stage, D x (D+1)
-    bundles: List[AttentionBundle]     # per decoder stage
+    bundles: List[AttentionBundle]     # per decoder stage, track-major
     head_out: nn.Tensor                # T x d, track embedding head output
     updated_tracks: nn.Tensor          # T x d, confidence-blended embeddings
     update_gate: np.ndarray            # T blend weights
-    match: nn.Tensor                   # D x (T+1) assignment probabilities
+    match: AttentionBundle             # detection-major; .fused is D x (T+1)
 
 
 def fuse(alpha: float, a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
@@ -64,21 +66,21 @@ def attention_logits(a, b, wq, wk) -> nn.Tensor:
     return nn.mul(nn.linear(q, k), 1.0 / np.sqrt(q.data.shape[-1]))
 
 
-def dual_source_attention(e_t, e_d, o_edge, alpha, wq, wk, wa):
-    """One attention evaluation: returns (track update, bundle).
-
-    e_t: T x d tracks, e_d: D x d detections, o_edge: T x D geometry logits.
-    """
-    o_appear = attention_logits(e_t, e_d, wq, wk)               # T x D
-    d_count = o_appear.data.shape[1]
+def dual_source(queries, keys, o_edge, alpha, wq, wk) -> AttentionBundle:
+    """Attention of queries (Q x d) over keys (K x d); o_edge: Q x K
+    geometry logits."""
+    o_appear = attention_logits(queries, keys, wq, wk)          # Q x K
     o_edge = nn.as_tensor(o_edge)
     s_appear = nn.softmax_null(o_appear)
     s_edge = nn.softmax_null(o_edge)
-    fused = fuse(alpha, s_appear, s_edge)
-    weights = nn.take(fused, (slice(None), slice(0, d_count)))
-    delta = nn.linear(nn.matmul(weights, e_d), wa)
-    bundle = AttentionBundle(o_appear, o_edge, s_appear, s_edge, fused)
-    return delta, bundle
+    return AttentionBundle(o_appear, o_edge, s_appear, s_edge, fuse(alpha, s_appear, s_edge))
+
+
+def aggregate(probs, values, wa) -> nn.Tensor:
+    """The attention update: the value rows weighted by `probs` with its
+    null column dropped, projected by wa."""
+    weights = nn.take(probs, (slice(None), slice(0, probs.data.shape[1] - 1)))
+    return nn.linear(nn.matmul(weights, values), wa)
 
 
 class TrackingModel:
@@ -168,6 +170,11 @@ class TrackingModel:
         s = self.store
         return nn.layer_norm(x, s[f"{prefix}.g"], s[f"{prefix}.b"])
 
+    def _residual(self, x, delta, prefix):
+        """The post-norm stage block: LN(x + delta), then LN(x + FFN(x))."""
+        x = self._ln(nn.add(x, delta), f"{prefix}.ln1")
+        return self._ln(nn.add(x, self._ffn(x, f"{prefix}.ffn")), f"{prefix}.ln2")
+
     def edge_head(self, raw) -> nn.Tensor:
         """Per-pair geometry MLP, 4 -> d_e, shared across all pairs, up to its
         output row edge_head.w3/b3 (applied by `forward_frame`)."""
@@ -183,18 +190,12 @@ class TrackingModel:
         """
         x = nn.as_tensor(e_d0)
         attn = []
-        if x.data.shape[0] == 0:
-            return x, [nn.Tensor(np.zeros((0, 1))) for _ in range(self.cfg.n_encoder_stages)]
         s = self.store
         for n in range(self.cfg.n_encoder_stages):
             p = f"encoder.stage{n}"
-            logits = attention_logits(x, x, s[f"{p}.wq"], s[f"{p}.wk"])
-            probs = nn.softmax_null(logits)                      # D x (D+1)
-            attn.append(probs)
-            weights = nn.take(probs, (slice(None), slice(0, x.data.shape[0])))
-            delta = nn.linear(nn.matmul(weights, x), s[f"{p}.wa"])
-            x = self._ln(nn.add(x, delta), f"{p}.ln1")
-            x = self._ln(nn.add(x, self._ffn(x, f"{p}.ffn")), f"{p}.ln2")
+            probs = nn.softmax_null(attention_logits(x, x, s[f"{p}.wq"], s[f"{p}.wk"]))
+            attn.append(probs)                                   # D x (D+1)
+            x = self._residual(x, aggregate(probs, x, s[f"{p}.wa"]), p)
         return x, attn
 
     def decoder_layer(self, e_t, o_edge, e_d, stage: int):
@@ -202,10 +203,8 @@ class TrackingModel:
         T x D logits are the edge refresh read by the next stage."""
         s, alpha = self.store, self.cfg.alpha
         p = f"decoder.stage{stage}"
-        delta, bundle = dual_source_attention(
-            e_t, e_d, o_edge, alpha, s[f"{p}.wq"], s[f"{p}.wk"], s[f"{p}.wa"])
-        x = self._ln(nn.add(e_t, delta), f"{p}.ln1")
-        x = self._ln(nn.add(x, self._ffn(x, f"{p}.ffn")), f"{p}.ln2")
+        bundle = dual_source(e_t, e_d, o_edge, alpha, s[f"{p}.wq"], s[f"{p}.wk"])
+        x = self._residual(e_t, aggregate(bundle.fused, e_d, s[f"{p}.wa"]), p)
 
         t_count, d_count = bundle.o_appear.data.shape
         scalar = nn.reshape(fuse(alpha, bundle.o_appear, bundle.o_edge), (t_count, d_count, 1))
@@ -254,14 +253,14 @@ class TrackingModel:
         blended = nn.add(nn.mul(keep, e_t_old), nn.mul(gate, e_t_head))
         return blended, gate.data[:, 0].copy()
 
-    def matching_layer(self, e_t, e_d, o_edge) -> nn.Tensor:
-        """Detection-major assignment probabilities, D x (T+1); the last
-        column is the no-track probability.  o_edge: T x D geometry logits.
-        No linear layer after the gate."""
+    def matching_layer(self, e_t, e_d, o_edge) -> AttentionBundle:
+        """The dual-source attention read detection-major: `.fused` is the
+        D x (T+1) assignment matrix, its last column the no-track
+        probability.  o_edge: T x D geometry logits.  No linear layer after
+        the gate."""
         s = self.store
-        o_appear = attention_logits(e_d, e_t, s["match.wq"], s["match.wk"])  # D x T
-        o_edge = nn.transpose(o_edge)                            # D x T
-        return fuse(self.cfg.alpha, nn.softmax_null(o_appear), nn.softmax_null(o_edge))
+        return dual_source(e_d, e_t, nn.transpose(o_edge), self.cfg.alpha,
+                           s["match.wq"], s["match.wk"])
 
     def forward_frame(self, e_t_old, raw_edge, e_d0) -> FrameForward:
         """Full per-frame pass, from raw detection embeddings and geometry

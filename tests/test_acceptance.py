@@ -18,7 +18,7 @@ from dstrack.heuristics import build_heuristic_model
 from dstrack.synth import synth_sequence
 from dstrack.tracker import hungarian, run_sequence, step, TrackerState
 from dstrack.training import labeled_frames, loss_attn, train_toy
-from dstrack.transformer import dual_source_attention, TrackingModel
+from dstrack.transformer import dual_source, TrackingModel
 from small_config import SMALL
 
 
@@ -57,14 +57,14 @@ def test_criterion_2_gate_endpoints_and_loss_constant():
         e_t = nn.Tensor(rng.standard_normal((3, 4)))
         e_d = nn.Tensor(rng.standard_normal((2, 4)))
         o_edge = nn.Tensor(rng.standard_normal((3, 2)))
-        ws = [nn.Tensor(rng.standard_normal(s))
-              for s in [(4, 4), (4, 4), (4, 4)]]
-        _, b1 = dual_source_attention(e_t, e_d, o_edge, 1.0, *ws)
+        ws = [nn.Tensor(rng.standard_normal((4, 4))) for _ in range(2)]
+        b1 = dual_source(e_t, e_d, o_edge, 1.0, *ws)
         assert (b1.fused.data == b1.s_appear.data).all()
-        _, b0 = dual_source_attention(e_t, e_d, o_edge, 0.0, *ws)
+        b0 = dual_source(e_t, e_d, o_edge, 0.0, *ws)
         assert (b0.fused.data == b0.s_edge.data).all()
 
-    # model level: every decoder stage of a full frame pass
+    # model level: every decoder stage and the matching layer of a full
+    # frame pass
     cfg = dataclasses.replace(SMALL, d=8, d_e=8, ffn_hidden=16)
     rng = np.random.default_rng(42)
     e_t = rng.standard_normal((3, cfg.d))
@@ -78,13 +78,13 @@ def test_criterion_2_gate_endpoints_and_loss_constant():
     fwd1 = forward_at(1.0)
     fwd0 = forward_at(0.0)
     appear_exact = all((b.fused.data == b.s_appear.data).all()
-                       for b in fwd1.bundles)
+                       for b in fwd1.bundles + [fwd1.match])
     edge_exact = all((b.fused.data == b.s_edge.data).all()
-                     for b in fwd0.bundles)
+                     for b in fwd0.bundles + [fwd0.match])
 
     # row-stochastic with the null column, at an interior alpha
     fwd = forward_at(0.3)
-    rows = [b.fused.data for b in fwd.bundles] + [fwd.match.data]
+    rows = [b.fused.data for b in fwd.bundles] + [fwd.match.fused.data]
     rows += [a.data for a in fwd.enc_attn]
     sum_err = max(float(np.abs(r.sum(axis=1) - 1.0).max()) for r in rows)
 

@@ -642,6 +642,32 @@ def test_malformed_sequence_is_runtime_error(tmp_path, cfg_path, capsys, damage,
     assert err.startswith(f"error: {seq}: {message}")
 
 
+def _huge_appearance(doc):
+    det = doc["frames"][1]["detections"][0]
+    det["appearance"] = _as_list(det, "appearance")
+    det["appearance"][0] = 1e200
+
+
+def _huge_box(doc):
+    box = doc["frames"][1]["detections"][0]["box"]
+    box["x_max"] = box["y_max"] = 1e200
+
+
+@pytest.mark.parametrize("damage", [_huge_appearance, _huge_box],
+                         ids=["appearance_overflows_layer_norm", "box_overflows_iou"])
+def test_float_overflow_stops_track_at_its_frame(tmp_path, cfg_path, capsys, damage):
+    # finite inputs that overflow inside the model stop the run at their
+    # frame, exit 1, where numpy would only warn and tracking would go on
+    seq = damaged_sequence(tmp_path, cfg_path, damage)
+    out = tmp_path / "res.jsonl"
+    capsys.readouterr()
+    assert run(["track", str(seq), "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith(f"error: {seq}: frame 1, overflow encountered in ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", [_list_identity, _list_fps])
 def test_train_and_eval_refuse_malformed_labels_at_load(tmp_path, cfg_path, capsys, damage):
     seq = short_sequence(tmp_path, cfg_path)
@@ -712,6 +738,9 @@ EACH_NEW = [[i, 10 + i] for i in range(8)]
     (_frame_1_new_tracks(EACH_NEW, closed_tracks=[-1]),
      f"results line 2: closed_tracks: {INDEX}, got -1"),
     (_frame_1_new_tracks(EACH_NEW, frame=2), "record 1 names frame 2, expected frame 1"),
+    (_frame_1_new_tracks(EACH_NEW, frame="1"), f"results line 2: frame: {INDEX}, got '1'"),
+    (_frame_1_new_tracks(EACH_NEW, frame=True), f"results line 2: frame: {INDEX}, got True"),
+    (_frame_1_new_tracks(EACH_NEW, frame=1.9), f"results line 2: frame: {INDEX}, got 1.9"),
     (_frame_1_new_tracks(EACH_NEW + [[0, 5]]),
      f"frame 1: detection 0 is listed 2 times in {BUCKETS}"),
     (_frame_1_new_tracks(EACH_NEW, duplicates=[3]),
@@ -719,7 +748,8 @@ EACH_NEW = [[i, 10 + i] for i in range(8)]
     (_frame_1_new_tracks(EACH_NEW[:7]), f"frame 1: detection 7 is missing from {BUCKETS}"),
 ], ids=["no_assignments", "not_object", "index_past_detections", "index_string",
         "index_negative", "index_bool", "duplicate_string", "closed_track_negative",
-        "frame_named_elsewhere", "detection_listed_twice", "duplicate_also_assigned",
+        "frame_named_elsewhere", "frame_string", "frame_bool", "frame_fraction",
+        "detection_listed_twice", "duplicate_also_assigned",
         "detection_missing"])
 def test_malformed_results_is_runtime_error(tmp_path, cfg_path, capsys, bad_line, message):
     seq = short_sequence(tmp_path, cfg_path)

@@ -119,7 +119,7 @@ def test_matching_prefers_same_appearance_cluster(model):
                      c0 + 0.3 * rng.standard_normal(CFG.d)])
     edge = np.zeros((2, 2, 4))  # geometry mute: stale everywhere
     fwd = model_at(1.0).forward_frame(tracks, edge, dets)
-    m = fwd.match.data
+    m = fwd.match.fused.data
     assert m[0, 1] > 0.95  # det 0 is cluster 1
     assert m[1, 0] > 0.95
     assert m[0, 0] < 0.02 and m[1, 1] < 0.02

@@ -1,4 +1,5 @@
 """Assignment, duplicate filtering, and track lifecycle."""
+import dataclasses
 import functools
 import itertools
 
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
+from dstrack.evaluate import evaluate
 from dstrack.heuristics import build_heuristic_model
 from dstrack.synth import SCENARIOS, synth_sequence
 from dstrack.tracker import (
@@ -361,6 +363,39 @@ def test_step_is_equivariant_in_detection_order(scenario, seed, perm_seed):
             twin = plain_tracks[to_plain[t.id]]
             assert (t.last_box, t.frames_since_match) == (twin.last_box, twin.frames_since_match)
             np.testing.assert_allclose(t.embedding, twin.embedding, rtol=1e-9, atol=1e-12)
+
+
+def _hide_half_the_joints(seq, ident):
+    """seq with identity `ident`'s first K/2 keypoints hidden (not visible,
+    confidence 0) on every odd frame."""
+    frames = []
+    for fr in seq.frames:
+        dets = list(fr.detections)
+        for i, who in enumerate(fr.identities):
+            if fr.index % 2 and who == ident:
+                pose = dets[i].pose
+                hidden = np.arange(pose.keypoint_count) < pose.keypoint_count // 2
+                dets[i] = dataclasses.replace(dets[i], pose=Pose(
+                    pose.coords, np.where(hidden, 0.0, pose.conf), pose.visible & ~hidden))
+        frames.append(dataclasses.replace(fr, detections=dets))
+    return dataclasses.replace(seq, frames=frames)
+
+
+@pytest.mark.parametrize("scenario", ["crossing", "crowd"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matches_when_visible_joint_count_differs_between_frames(scenario, seed):
+    # appearance is pure noise at separation 0, so geometry carries every
+    # match, across frames where one person shows K or K/2 keypoints
+    seq = _hide_half_the_joints(
+        synth_sequence(scenario, seed=seed, cfg=SMALL, separation=0.0), ident=1)
+    shown = {int(det.pose.visibility_mask().sum())
+             for fr in seq.frames for det, who in zip(fr.detections, fr.identities) if who == 1}
+    assert shown == {SMALL.keypoint_count, SMALL.keypoint_count // 2}
+    results = [(i, r) for i, r, _ in run_sequence(seq.detection_frames(),
+                                                  small_heuristic_model())]
+    report = evaluate(results, seq)
+    assert report.id_switches == 0
+    assert report.mota_lite == 1.0
 
 
 # ---------------------------------------------------------------------------

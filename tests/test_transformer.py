@@ -5,7 +5,7 @@ import pytest
 
 from dstrack import nn
 from dstrack.config import EngineConfig
-from dstrack.transformer import TrackingModel, dual_source_attention, fuse
+from dstrack.transformer import TrackingModel, aggregate, dual_source, fuse
 
 
 def tiny_cfg(**kw):
@@ -31,11 +31,10 @@ def test_alpha_endpoints_are_bitwise_exact():
     e_t, e_d = nn.Tensor(rng.standard_normal((3, 4))), nn.Tensor(rng.standard_normal((2, 4)))
     o_edge = nn.Tensor(rng.standard_normal((3, 2)))
     wq, wk = nn.Tensor(rng.standard_normal((4, 4))), nn.Tensor(rng.standard_normal((4, 4)))
-    wa = nn.Tensor(rng.standard_normal((4, 4)))
 
-    _, b1 = dual_source_attention(e_t, e_d, o_edge, 1.0, wq, wk, wa)
+    b1 = dual_source(e_t, e_d, o_edge, 1.0, wq, wk)
     assert (b1.fused.data == b1.s_appear.data).all()
-    _, b0 = dual_source_attention(e_t, e_d, o_edge, 0.0, wq, wk, wa)
+    b0 = dual_source(e_t, e_d, o_edge, 0.0, wq, wk)
     assert (b0.fused.data == b0.s_edge.data).all()
 
 
@@ -43,9 +42,9 @@ def test_gate_is_exact_blend():
     rng = np.random.default_rng(1)
     e_t, e_d = nn.Tensor(rng.standard_normal((3, 4))), nn.Tensor(rng.standard_normal((2, 4)))
     o_edge = nn.Tensor(rng.standard_normal((3, 2)))
-    ws = [nn.Tensor(rng.standard_normal(s)) for s in [(4, 4), (4, 4), (4, 4)]]
+    ws = [nn.Tensor(rng.standard_normal((4, 4))) for _ in range(2)]
     alpha = 0.3
-    _, b = dual_source_attention(e_t, e_d, o_edge, alpha, *ws)
+    b = dual_source(e_t, e_d, o_edge, alpha, *ws)
     expect = b.s_appear.data * alpha + b.s_edge.data * (1.0 - alpha)
     assert (b.fused.data == expect).all()  # same arithmetic path, bit-identical
     np.testing.assert_allclose(b.fused.data.sum(axis=1), np.ones(3), atol=1e-6)
@@ -58,8 +57,9 @@ def test_attention_no_detections():
     e_t = nn.Tensor(rng.standard_normal((3, 4)))
     e_d = nn.Tensor(np.zeros((0, 4)))
     o_edge = nn.Tensor(np.zeros((3, 0)))
-    ws = [nn.Tensor(rng.standard_normal(s)) for s in [(4, 4), (4, 4), (4, 4)]]
-    delta, b = dual_source_attention(e_t, e_d, o_edge, 0.3, *ws)
+    wq, wk, wa = [nn.Tensor(rng.standard_normal(s)) for s in [(4, 4), (4, 4), (4, 4)]]
+    b = dual_source(e_t, e_d, o_edge, 0.3, wq, wk)
+    delta = aggregate(b.fused, e_d, wa)
     np.testing.assert_array_equal(b.fused.data, np.ones((3, 1)))
     np.testing.assert_array_equal(delta.data, np.zeros((3, 4)))
 
@@ -88,9 +88,8 @@ def test_attention_hand_chain_t1_d2():
     expect_delta = (fused[:2] @ e_d) @ wa.T
 
     o_edge = nn.Tensor(e_edge @ we[0])
-    delta, b = dual_source_attention(
-        nn.Tensor(e_t), nn.Tensor(e_d), o_edge, alpha,
-        nn.Tensor(wq), nn.Tensor(wk), nn.Tensor(wa))
+    b = dual_source(nn.Tensor(e_t), nn.Tensor(e_d), o_edge, alpha, nn.Tensor(wq), nn.Tensor(wk))
+    delta = aggregate(b.fused, nn.Tensor(e_d), nn.Tensor(wa))
     np.testing.assert_allclose(b.o_appear.data[0], o_a, rtol=1e-12)
     np.testing.assert_allclose(b.o_edge.data[0], o_e, rtol=1e-12)
     np.testing.assert_allclose(delta.data[0], expect_delta, rtol=1e-12)
@@ -102,7 +101,8 @@ def test_one_hot_attention_copies_detection():
     e_d = nn.Tensor(np.array([[0.0, 0.1], [1.0, 0.0]]))   # det 1 aligns with track
     o_edge = nn.Tensor(np.zeros((1, 2)))
     eye = nn.Tensor(np.eye(2))
-    delta, b = dual_source_attention(e_t, e_d, o_edge, 1.0, eye, eye, eye)
+    b = dual_source(e_t, e_d, o_edge, 1.0, eye, eye)
+    delta = aggregate(b.fused, e_d, eye)
     assert b.fused.data[0, 1] > 0.999999
     np.testing.assert_allclose(delta.data[0], e_d.data[1], atol=1e-5)
 
@@ -139,7 +139,7 @@ def test_every_edge_output_layer_is_one_row(n_stages):
     # the last stage's logits feed the matching layer directly
     raw = np.random.default_rng(44).uniform(size=(2, 3, 4))
     out = m.forward_frame(rnd((2, 8), 45), raw, rnd((3, 8), 46))
-    assert out.match.data.shape == (3, 3)
+    assert out.match.fused.data.shape == (3, 3)
     assert len(out.bundles) == n_stages
 
 
@@ -296,19 +296,19 @@ def test_confidence_update_convexity():
 
 def test_matching_no_tracks():
     m = model()
-    out = m.matching_layer(np.zeros((0, 8)), rnd((3, 8), 27), np.zeros((0, 3)))
+    out = m.matching_layer(np.zeros((0, 8)), rnd((3, 8), 27), np.zeros((0, 3))).fused
     np.testing.assert_array_equal(out.data, np.ones((3, 1)))
 
 
 def test_matching_rows_stochastic_and_alpha_one():
     m = model(seed=28)
     e_t, e_d, o_edge = rnd((2, 8), 29), rnd((3, 8), 30), rnd((2, 3), 31)
-    out = m.matching_layer(e_t, e_d, o_edge)
+    out = m.matching_layer(e_t, e_d, o_edge).fused
     assert out.data.shape == (3, 3)
     np.testing.assert_allclose(out.data.sum(axis=1), np.ones(3), atol=1e-6)
 
     m1 = model(seed=28, alpha=1.0)
-    out1 = m1.matching_layer(e_t, e_d, o_edge)
+    out1 = m1.matching_layer(e_t, e_d, o_edge).fused
     s = m1.store
     q = e_d @ s["match.wq"].data.T
     k = e_t @ s["match.wk"].data.T
@@ -323,7 +323,7 @@ def test_matching_hand_evaluation_d2_t1():
     alpha = 0.4
     m = model(seed=32, alpha=alpha)
     e_t, e_d, o_edge = rnd((1, 8), 33), rnd((2, 8), 34), rnd((1, 2), 35)
-    out = m.matching_layer(e_t, e_d, o_edge).data
+    out = m.matching_layer(e_t, e_d, o_edge).fused.data
     s = m.store
     o_a = (e_d @ s["match.wq"].data.T) @ (e_t @ s["match.wk"].data.T).T / np.sqrt(8.0)
     o_e = o_edge.T
@@ -340,11 +340,11 @@ def test_matching_uses_separate_parameters_from_decoder():
     m = model(seed=36)
     # zeroing decoder projections must not change the matching output
     e_t, e_d, o_edge = rnd((2, 8), 37), rnd((2, 8), 38), rnd((2, 2), 39)
-    before = m.matching_layer(e_t, e_d, o_edge).data.copy()
+    before = m.matching_layer(e_t, e_d, o_edge).fused.data.copy()
     for n in (0, 1):
         for w in ("wq", "wk", "wa"):
             m.store[f"decoder.stage{n}.{w}"].data[:] = 0.0
-    after = m.matching_layer(e_t, e_d, o_edge).data
+    after = m.matching_layer(e_t, e_d, o_edge).fused.data
     np.testing.assert_array_equal(before, after)
 
 
@@ -357,7 +357,7 @@ def test_forward_frame_shapes_and_detection_permutation():
     e_d = rnd((3, 8), 42)
     raw = np.random.default_rng(43).uniform(size=(2, 3, 4))
     out = m.forward_frame(e_t, raw, e_d)
-    assert out.match.data.shape == (3, 3)
+    assert out.match.fused.data.shape == (3, 3)
     assert len(out.bundles) == 2
     assert out.updated_tracks.data.shape == (2, 8)
 
@@ -365,8 +365,8 @@ def test_forward_frame_shapes_and_detection_permutation():
     out_p = m.forward_frame(e_t, raw[:, perm], e_d[perm])
     # track-side outputs unchanged, detection-side rows permuted
     np.testing.assert_allclose(out_p.updated_tracks.data, out.updated_tracks.data, atol=1e-9)
-    np.testing.assert_allclose(out_p.match.data[:, :2], out.match.data[perm][:, :2], atol=1e-9)
-    np.testing.assert_allclose(out_p.match.data[:, 2], out.match.data[perm][:, 2], atol=1e-9)
+    np.testing.assert_allclose(out_p.match.fused.data[:, :2], out.match.fused.data[perm][:, :2], atol=1e-9)
+    np.testing.assert_allclose(out_p.match.fused.data[:, 2], out.match.fused.data[perm][:, 2], atol=1e-9)
     for b, bp in zip(out.bundles, out_p.bundles):
         np.testing.assert_allclose(bp.fused.data[:, :3], b.fused.data[:, perm], atol=1e-9)
         np.testing.assert_allclose(bp.fused.data[:, 3], b.fused.data[:, 3], atol=1e-9)
@@ -387,8 +387,8 @@ def test_gradcheck_dual_source_attention():
     ]
 
     def run(e_t, e_d, o_edge, wq, wk, wa):
-        delta, bundle = dual_source_attention(e_t, e_d, o_edge, 0.3, wq, wk, wa)
-        return nn.concat([delta, bundle.fused], axis=1)
+        bundle = dual_source(e_t, e_d, o_edge, 0.3, wq, wk)
+        return nn.concat([aggregate(bundle.fused, e_d, wa), bundle.fused], axis=1)
 
     err = nn.grad_check(run, inputs, rng=np.random.default_rng(45))
     assert err <= 1e-4, err
