@@ -151,8 +151,8 @@ def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
     with _reading(weights):
         state = nn.load_checkpoint(weights)
         has_backbone = any(k.startswith("backbone.") for k in state)
-        model = TrackingModel(cfg, seed=seed, with_backbone=has_backbone)
-        model.store.load_state(state)
+        model = TrackingModel(cfg, seed=None, with_backbone=has_backbone)
+        model.store.load_state(state)  # replaces every tensor
     return model
 
 
@@ -196,7 +196,10 @@ def cmd_track(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     seqs = [labeled_frames(_load_sequence(p, cfg)) for p in args.sequences]
-    model, curve = train_toy(seqs, cfg, seed=args.seed, n_iters=args.iters, lr=args.lr)
+    try:
+        model, curve = train_toy(seqs, cfg, seed=args.seed, n_iters=args.iters, lr=args.lr)
+    except FloatingPointError as e:  # raised under main's np.errstate
+        raise FloatingPointError(f"{args.sequences[e.sequence]}: {e}") from None
     nn.save_checkpoint(args.out, model.store.state_dict())
     if args.curve:
         write_loss_csv(curve, args.curve)

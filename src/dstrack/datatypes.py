@@ -19,8 +19,16 @@ VISIBILITY_CONF_FLOOR = 0.05
 
 
 def _frozen_array(x, dtype=np.float64) -> np.ndarray:
+    """x as a read-only array that nothing else can write: a copy, unless x
+    already views immutable bytes, as a packed array decodes."""
+    if isinstance(x, np.ndarray) and not x.flags.writeable and x.dtype == dtype:
+        base = x.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if isinstance(base, bytes):
+            return x
     arr = np.array(x, dtype=dtype)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -39,7 +47,7 @@ def _array_field(d: dict, name: str):
     if isinstance(value, list):
         try:
             return np.array(value, dtype=np.float64)
-        except (TypeError, ValueError) as e:  # ragged, or a non-number inside
+        except (TypeError, ValueError, OverflowError) as e:  # ragged, or a non-number inside
             raise ValueError(f"{name}: {e}") from None
     if not isinstance(value, dict) or set(value) != {"shape", "f64le"}:
         raise ValueError(f"{name} must be a nested list or an object with exactly "
@@ -71,8 +79,12 @@ class Box:
 
     def __post_init__(self):
         for v in (self.x_min, self.y_min, self.x_max, self.y_max):
-            if not np.isfinite(v):
-                raise ValueError("box coordinates must be finite")
+            try:
+                finite = math.isfinite(v)
+            except (TypeError, OverflowError):  # not a number, or an int past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"box coordinates must be finite numbers, got {v!r}")
         if not (self.x_min < self.x_max):
             raise ValueError("box needs x_min < x_max")
         if not (self.y_min < self.y_max):
@@ -117,7 +129,8 @@ class Pose:
             raise ValueError("pose conf/visible must have shape (K,)")
         if not np.isfinite(coords).all():
             raise ValueError("pose coordinates must be finite")
-        if not ((conf >= 0.0) & (conf <= 1.0)).all():  # NaN fails both bounds
+        # a Python loop, as K is small: numpy's three ufuncs cost 3x as much
+        if not all(0.0 <= c <= 1.0 for c in conf.tolist()):  # NaN fails both bounds
             raise ValueError("pose confidences must lie in [0, 1]")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "conf", conf)
@@ -144,12 +157,16 @@ class Pose:
 
     @staticmethod
     def from_dict(d: dict) -> "Pose":
-        rows = d["keypoints"]
-        return Pose(
-            coords=[[r[0], r[1]] for r in rows],
-            conf=[r[2] for r in rows],
-            visible=[bool(r[3]) for r in rows],
-        )
+        try:
+            rows = np.array(d["keypoints"])
+        except ValueError as e:  # ragged
+            raise ValueError(f"pose keypoints: {e}") from None
+        if rows.dtype.kind not in "biuf":  # a string, null or integer past the float range
+            raise ValueError("pose keypoints must all be numbers")
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValueError("pose keypoints must be rows of [x, y, confidence, visible], "
+                             f"got shape {rows.shape}")
+        return Pose(coords=rows[:, :2], conf=rows[:, 2], visible=rows[:, 3] != 0.0)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,14 @@ def _identity_head(store, prefix, d):
 
 def _passthrough_stage(store, prefix):
     """Zero the attention delta and the FFN so the stage reduces to
-    LayerNorm, which is idempotent on already-normalized rows."""
+    LayerNorm, which is idempotent on already-normalized rows.
+
+    The weights of a model built with seed=None are zeros already, but
+    unwritten: they read the kernel's shared zero page, which is far
+    cheaper to stream than a trained model's d x d weights.  Writing the
+    zeros gives each its own memory, so tracking with this model pays the
+    weight traffic that a trained one does.
+    """
     for name in ("wq", "wk", "wa"):
         _zero(store, f"{prefix}.{name}")
     for name in ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"):
@@ -111,10 +118,15 @@ def _probe_features(rng, n):
 
 
 def _calibrate_edge_head(model: TrackingModel, rng):
-    """Linearize both LN+GELU blocks, then least-squares fit the output
-    row so the edge logit is EDGE_GAIN * (mean(f) - EDGE_FLOOR)."""
+    """Draw the two projections, linearize both LN+GELU blocks, then
+    least-squares fit the output row so the edge logit is
+    EDGE_GAIN * (mean(f) - EDGE_FLOOR)."""
     s = model.store
     d_e = model.cfg.d_e
+    for name in ("edge_head.w1", "edge_head.w2"):  # fan-in uniform, as TrackingModel draws
+        out_dim, in_dim = s[name].data.shape
+        bound = 1.0 / np.sqrt(in_dim)
+        _set(s, name, rng.uniform(-bound, bound, size=(out_dim, in_dim)))
     for block in ("1", "2"):
         _set(s, f"edge_head.b{block}", _BIAS_SPREAD * _unit_bias(rng, d_e))
         _set(s, f"edge_head.ln{block}.g", np.full(d_e, _LN_EPS))
@@ -134,7 +146,7 @@ def _calibrate_edge_head(model: TrackingModel, rng):
 def build_heuristic_model(cfg: EngineConfig, seed: int = 0) -> TrackingModel:
     """A TrackingModel whose behavior follows from geometry and appearance
     directly; `model.edge_fit_residual` records the calibration error."""
-    model = TrackingModel(cfg, seed=seed)
+    model = TrackingModel(cfg, seed=None)  # every weight is set below
     s = model.store
     rng = np.random.default_rng(seed + 0x5EED)
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from typing import Optional
 
 import numpy as np
 from scipy.special import erf
@@ -553,15 +554,18 @@ class ParamStore:
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
 
-    def create(self, name: str, shape, rng: np.random.Generator, init="fan_in") -> Tensor:
+    def create(self, name: str, shape, rng: Optional[np.random.Generator],
+               init="fan_in") -> Tensor:
+        """A new parameter; without an rng, a "fan_in" one starts as zeros
+        for the caller to overwrite."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name: {name}")
         shape = tuple(shape)
-        if init == "fan_in":
+        if init == "fan_in" and rng is not None:
             fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
             bound = 1.0 / np.sqrt(max(fan_in, 1))
             data = rng.uniform(-bound, bound, size=shape)
-        elif init == "zeros":
+        elif init in ("zeros", "fan_in"):
             data = np.zeros(shape)
         elif init == "ones":
             data = np.ones(shape)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import nn
 from .config import EngineConfig
@@ -65,6 +64,10 @@ def hungarian(cost: np.ndarray) -> List[Tuple[int, int]]:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
+    # imported at the first assignment, so that a process that never
+    # assigns (training) does not load scipy.optimize and its memory
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return list(zip(rows.tolist(), cols.tolist()))
 

@@ -251,7 +251,10 @@ def train_toy(sequences: Sequence[Sequence[SequenceFrame]], cfg: EngineConfig,
     AdamW step at toy_lr(lr, iteration).  Returns the model and the
     per-iteration loss curve.  Without a given model, one with the backbone
     is built when some detection has only a crop, so those losses train the
-    backbone too.
+    backbone too.  A non-finite loss raises RuntimeError, and a
+    FloatingPointError (under np.errstate(..., "raise")) is raised again
+    naming the iteration and window, with the index into `sequences` as
+    its `sequence` attribute.
     """
     rng = np.random.default_rng(seed)
     if model is None:
@@ -272,10 +275,15 @@ def train_toy(sequences: Sequence[Sequence[SequenceFrame]], cfg: EngineConfig,
             order = list(rng.permutation(len(windows)))
         si, start = windows[order.pop()]
         frames = [inject_duplicate(sequences[si][start + k], rng) for k in range(3)]
-        row = _train_window(model, opt, frames, cfg, it)
+        where = f"iteration {it} (sequence {si}, frames {frames[0].index}-{frames[-1].index})"
+        try:
+            row = _train_window(model, opt, frames, cfg, it)
+        except FloatingPointError as e:  # raised only under np.errstate(..., "raise")
+            fault = FloatingPointError(f"{where}: {e}")
+            fault.sequence = si
+            raise fault from None
         if not np.isfinite(row.total):
-            raise RuntimeError(
-                f"non-finite loss at iteration {it} (sequence {si}, frame {start})")
+            raise RuntimeError(f"non-finite loss at {where}")
         curve.append(row)
     return model, curve
 
@@ -310,8 +318,9 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
         enc_groups = [groups.get(ident, [i]) for i, ident in enumerate(labels)]
         for k in range(n_enc):
             enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], enc_groups))
-        e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame, groups,
-                                                 track_ids, teacher)
+        if f + 1 < len(frames):  # the last frame has no next frame to track into
+            e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame, groups,
+                                                     track_ids, teacher)
 
     total = total_loss(match_acc, enc_acc, dec_acc)
     model.store.zero_grad()

@@ -20,7 +20,7 @@ bias-free; feed-forward blocks and heads carry biases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -86,10 +86,14 @@ def aggregate(probs, values, wa) -> nn.Tensor:
 class TrackingModel:
     """Parameter container plus every forward pass of the association engine."""
 
-    def __init__(self, cfg: EngineConfig, seed: int = 0, with_backbone: bool = False):
+    def __init__(self, cfg: EngineConfig, seed: Optional[int] = 0,
+                 with_backbone: bool = False):
+        """Fan-in weights are drawn from `seed`; with seed=None they start as
+        zeros, for a caller that overwrites them (a checkpoint, the
+        heuristic model) and so need not pay for the draw."""
         self.cfg = cfg
         self.store = nn.ParamStore()
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self._init_params(rng, with_backbone)
 
     # -- parameters --------------------------------------------------------

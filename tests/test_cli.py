@@ -335,6 +335,60 @@ def test_one_and_two_blas_threads_give_the_same_bytes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def _run_script(script):
+    """Run a Python script in a fresh interpreter that imports dstrack from
+    this tree; returns its stdout."""
+    src = str(Path(dstrack.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    path = [src, tests] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_RUN_DSTRACK = """
+def run_dstrack(*argv):  # python -m dstrack ARGV, in this process
+    sys.argv = ["dstrack", *argv]
+    try:
+        runpy.run_module("dstrack", run_name="__main__")
+    except SystemExit as e:
+        assert e.code == 0, e.code
+"""
+
+
+def test_training_does_not_load_the_assignment_solver(tmp_path, cfg_path):
+    # scipy.optimize holds memory that only an assignment needs
+    seq = tmp_path / "seq.json"
+    assert run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "4",
+                "--config", cfg_path, "--out", str(seq)]) == 0
+    script = "import runpy, sys\n" + _RUN_DSTRACK + f"""
+from dstrack.sequence_io import load_sequence
+from dstrack.training import train_toy
+from small_config import SMALL
+train_toy([list(load_sequence({str(seq)!r}).frames)], SMALL, n_iters=2)
+run_dstrack("train", {str(seq)!r}, "--config", {cfg_path!r}, "--iters", "2",
+            "--out", {str(tmp_path / "m.ckpt")!r})
+print("scipy.optimize" in sys.modules)
+"""
+    assert _run_script(script).splitlines()[-1] == "False"
+
+
+def test_tracking_loads_the_assignment_solver(tmp_path, cfg_path):
+    seq = tmp_path / "seq.json"
+    assert run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "3",
+                "--config", cfg_path, "--out", str(seq)]) == 0
+    script = "import runpy, sys\n" + _RUN_DSTRACK + f"""
+assert "scipy.optimize" not in sys.modules
+run_dstrack("track", {str(seq)!r}, "--config", {cfg_path!r},
+            "--out", {str(tmp_path / "res.jsonl")!r})
+print("scipy.optimize" in sys.modules)
+"""
+    assert _run_script(script).splitlines()[-1] == "True"
+    assert len((tmp_path / "res.jsonl").read_text().splitlines()) == 3
+
+
 def assert_one_error_line(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -536,6 +590,39 @@ def _list_fps(doc):
     doc["fps"] = [30]
 
 
+def _keypoints(doc):
+    return doc["frames"][1]["detections"][0]["pose"]["keypoints"]
+
+
+def _ragged_keypoint_row(doc):
+    del _keypoints(doc)[2][1:]
+
+
+def _three_entry_keypoint_rows(doc):
+    for row in _keypoints(doc):
+        del row[3]
+
+
+def _string_keypoint_coordinate(doc):
+    _keypoints(doc)[0][0] = "12.5"
+
+
+def _huge_int_keypoint(doc):
+    _keypoints(doc)[0][0] = 10**400
+
+
+def _huge_int_appearance(doc):
+    doc["frames"][1]["detections"][0]["appearance"] = [10**400] + [0.5] * 15
+
+
+def _nan_keypoint_coordinate(doc):
+    _keypoints(doc)[0][1] = float("nan")
+
+
+def _keypoint_confidence_above_one(doc):
+    _keypoints(doc)[0][2] = 1.5
+
+
 def _ragged_appearance(doc):
     doc["frames"][1]["detections"][0]["appearance"] = [[0.5, 0.5], [0.5]]
 
@@ -618,6 +705,18 @@ def damaged_sequence(tmp_path, cfg_path, damage):
     (_list_fps, "fps must be a finite number, got [30]"),
     (_ragged_appearance, "frame 1, detection 0: appearance: setting an array element "
                          "with a sequence"),
+    # a pose is read as one (K, 4) array of [x, y, confidence, visible] rows
+    (_ragged_keypoint_row, "frame 1, detection 0: pose keypoints: setting an array element "
+                           "with a sequence"),
+    (_three_entry_keypoint_rows, "frame 1, detection 0: pose keypoints must be rows of "
+                                 "[x, y, confidence, visible], got shape (8, 3)"),
+    (_string_keypoint_coordinate, "frame 1, detection 0: pose keypoints must all be numbers"),
+    # an integer past the float range is refused, not an OverflowError traceback
+    (_huge_int_keypoint, "frame 1, detection 0: pose keypoints must all be numbers"),
+    (_huge_int_appearance, "frame 1, detection 0: appearance: int too large to convert "
+                           "to float"),
+    (_nan_keypoint_coordinate, "frame 1, detection 0: pose coordinates must be finite"),
+    (_keypoint_confidence_above_one, "frame 1, detection 0: pose confidences must lie in [0, 1]"),
     # a packed array is {"shape": [...], "f64le": base64 float64 bytes}
     (_appearance_string, f"frame 1, detection 0: appearance {NOT_PACKED}"),
     (_packed_extra_key, f"frame 1, detection 0: appearance {NOT_PACKED}"),
@@ -666,6 +765,25 @@ def test_float_overflow_stops_track_at_its_frame(tmp_path, cfg_path, capsys, dam
     assert_one_error_line(err)
     assert err.startswith(f"error: {seq}: frame 1, overflow encountered in ")
     assert not out.exists()
+
+
+def test_float_overflow_stops_train_naming_file_and_iteration(tmp_path, cfg_path, capsys):
+    seq = tmp_path / "seq.json"
+    assert run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "4",
+                "--config", cfg_path, "--out", str(seq)]) == 0
+    doc = json.loads(seq.read_text())
+    _huge_appearance(doc)  # frame 1, detection 0
+    seq.write_text(json.dumps(doc))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert run(["train", str(seq), "--config", cfg_path, "--iters", "3",
+                "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    # the only 3-frame window of 4 frames is frames 0-2
+    assert err.startswith(f"error: {seq}: iteration 0 (sequence 0, frames 0-2): "
+                          "overflow encountered in ")
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("damage", [_list_identity, _list_fps])

@@ -6,6 +6,7 @@ import pytest
 from dstrack import nn
 from dstrack.config import EngineConfig
 from dstrack.transformer import TrackingModel, aggregate, dual_source, fuse
+from small_config import SMALL
 
 
 def tiny_cfg(**kw):
@@ -21,6 +22,25 @@ def model(seed=0, **kw):
 
 def rnd(shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).standard_normal(shape) * scale
+
+
+def test_model_without_a_seed_draws_no_weight():
+    # seed=None is for callers that overwrite every weight (a checkpoint,
+    # the heuristic model): each fan-in weight starts as zeros, and every
+    # other tensor as it does with a seed
+    drawn = TrackingModel(SMALL, seed=0, with_backbone=True).store
+    undrawn = TrackingModel(SMALL, seed=None, with_backbone=True).store
+    assert [name for name, _ in undrawn.items()] == [name for name, _ in drawn.items()]
+    fan_in = 0
+    for name, t in undrawn.items():
+        ref = drawn[name].data
+        assert t.data.shape == ref.shape and t.data.dtype == np.float64
+        if np.unique(ref).size > 1:  # drawn from the seed
+            fan_in += 1
+            assert not t.data.any(), name
+        else:
+            assert np.array_equal(t.data, ref), name
+    assert fan_in > 0
 
 
 # ---------------------------------------------------------------------------
