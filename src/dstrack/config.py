@@ -44,7 +44,6 @@ class EngineConfig:
     n_encoder_stages: int = 2
     n_decoder_stages: int = 2
     alpha: float = 0.3                # appearance/pose blend weight
-    tau_dup: float = 0.4              # duplicate suppression threshold
     tau_age: int = 60                 # frames a track may go unmatched
     ffn_hidden: int = 1024            # hidden width of the d-wide stage FFNs
     oks_kappas: Tuple[float, ...] = ()  # empty means "derive from keypoint_count"
@@ -57,7 +56,7 @@ class EngineConfig:
 
 _INT_FIELDS = ("d", "d_e", "keypoint_count", "n_encoder_stages", "n_decoder_stages",
                "ffn_hidden", "tau_age", "crop_height", "crop_width")
-_REAL_FIELDS = ("alpha", "tau_dup")
+_REAL_FIELDS = ("alpha",)
 
 
 def validate_config(cfg: EngineConfig) -> EngineConfig:
@@ -95,8 +94,6 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ValueError("decoder stage count must be positive")
     if cfg.ffn_hidden <= 0:
         raise ValueError("ffn hidden dim must be positive")
-    if not (0.0 <= cfg.tau_dup <= 1.0):
-        raise ValueError("tau_dup out of range")
     if cfg.tau_age < 0:
         raise ValueError("tau_age must be non-negative")
     if len(cfg.oks_kappas) != cfg.keypoint_count:

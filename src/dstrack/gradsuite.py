@@ -16,7 +16,7 @@ import numpy as np
 from . import nn
 from .config import EngineConfig
 from .spapde import init_spapde_params, spapde_forward, spapde_modulation
-from .training import loss_attn, total_loss
+from .training import loss_attn
 from .transformer import TrackingModel, aggregate, dual_source
 
 TOL = 1e-4
@@ -258,17 +258,6 @@ def _check_loss_attn(rng):
     return run, [logits]
 
 
-def _check_total_loss(rng):
-    m, e, d = _t(rng, 2, 3, scale=1.5), _t(rng, 3, 3, scale=1.5), _t(rng, 2, 3, scale=1.5)
-
-    def run(ml, el, dl):
-        match = loss_attn(nn.softmax_null(ml), [[0], [1]])
-        enc = loss_attn(nn.softmax_null(el), [[0], [1], [2]])
-        dec = loss_attn(nn.softmax_null(dl), [[1], [0, 2]])
-        return total_loss(match, [enc], [dec])
-    return run, [m, e, d]
-
-
 CHECKS: List = [
     ("op add", _check_add),
     ("op mul", _check_mul),
@@ -299,7 +288,6 @@ CHECKS: List = [
     ("composite forward_frame", _check_forward_frame),
     ("composite spapde_stack", _check_spapde_stack),
     ("loss attn", _check_loss_attn),
-    ("loss total", _check_total_loss),
 ]
 
 

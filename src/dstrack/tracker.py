@@ -72,41 +72,44 @@ def hungarian(cost: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def assign_and_filter(match: np.ndarray, tau_dup: float):
-    """Partition detections into matched / duplicate / new.
+def assign_and_filter(match: np.ndarray):
+    """Partition detections into matched / duplicate / new by one rule.
 
-    match: D x (T+1) row-stochastic, last column = no-match probability.
-    Pairs whose probability is dominated by the no-match column are barred
-    from assignment.  Detections left over are duplicates when they give
-    probability above tau_dup to some track that did receive a match this
-    frame, otherwise they start new tracks.
+    match: D x (T+1) row-stochastic, last column = no-match (null)
+    probability.  A detection-track pair is allowed when its probability
+    beats the row's null column, and only allowed pairs are assigned.  A
+    detection left unmatched is a duplicate when some track is allowed for
+    it (its best track beats the null column), otherwise it starts a new
+    track.
+
+    That track always received a match this frame.  Every allowed cost is
+    at most -log(LOG_EPS) ~ 27.6, so FORBIDDEN_COST exceeds the sum of the
+    min(D, T) costs of any allowed pairs, and the solver returns a maximum
+    matching on the allowed pairs: no unmatched detection has an allowed
+    track that is also unmatched.
+
+    The null column, not a fixed probability, decides.  A detection that
+    loses track 0 to another detection and puts 0.35 on it against a null
+    of 0.30 is a duplicate; one that puts 0.45 on it against a null of
+    0.50 is new.
 
     Returns (matched pairs as (det idx, track idx), duplicate det idxs,
     new det idxs).
     """
     match = np.asarray(match, dtype=np.float64)
-    n_det = match.shape[0]
     n_track = match.shape[1] - 1
-    if n_det == 0:
-        return [], [], []
-    if n_track == 0:
-        return [], [], list(range(n_det))
-
     probs = match[:, :n_track]
-    null_col = match[:, n_track]
-    allowed = probs > null_col[:, None]
+    allowed = probs > match[:, n_track:]
     cost = -np.log(probs + LOG_EPS)
     cost[~allowed] = FORBIDDEN_COST
 
     matched = [(i, j) for i, j in hungarian(cost) if allowed[i, j]]
     matched_dets = {i for i, _ in matched}
-    matched_tracks = sorted({j for _, j in matched})
-
     duplicates, new = [], []
-    for i in range(n_det):
+    for i in range(len(match)):
         if i in matched_dets:
             continue
-        if matched_tracks and probs[i, matched_tracks].max() > tau_dup:
+        if allowed[i].any():
             duplicates.append(i)
         else:
             new.append(i)
@@ -209,7 +212,7 @@ def step(state: TrackerState, detections: Sequence[Detection], model: TrackingMo
     e_t_old = np.stack([t.embedding for t in tracks]) if tracks else np.zeros((0, cfg.d))
     fwd = model.forward_frame(e_t_old, raw, e_d0)
 
-    matched, dup_idx, new_idx = assign_and_filter(fwd.match.fused.data, cfg.tau_dup)
+    matched, dup_idx, new_idx = assign_and_filter(fwd.match.fused.data)
 
     next_id = state.next_id
     result = FrameResult(duplicates=list(dup_idx))

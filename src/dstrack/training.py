@@ -88,14 +88,6 @@ def loss_attn(attn: nn.Tensor, row_groups: Sequence[Sequence[int]]) -> nn.Tensor
     return nn.mul(nn.reduce_sum(nn.log(nn.clip(p, PROB_EPS, 1.0))), -1.0 / rows)
 
 
-def total_loss(match_term: nn.Tensor, enc_terms: Sequence[nn.Tensor],
-               dec_terms: Sequence[nn.Tensor]) -> nn.Tensor:
-    out = match_term
-    for t in list(enc_terms) + list(dec_terms):
-        out = nn.add(out, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -322,7 +314,9 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
             e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame, groups,
                                                      track_ids, teacher)
 
-    total = total_loss(match_acc, enc_acc, dec_acc)
+    total = match_acc
+    for term in enc_acc + dec_acc:
+        total = nn.add(total, term)
     model.store.zero_grad()
     total.backward()
     opt.step()

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from dstrack import nn
+from dstrack import nn, tracker
 from dstrack.datatypes import Box, Detection, Pose, Track
 from dstrack.evaluate import evaluate
 from dstrack.geometry import edge_features
@@ -218,8 +218,8 @@ def test_criterion_4_tracking_scenarios():
     times.append(time.perf_counter() - t0)
     parts.append(rep_blend.id_switches == 0 and rep_app.id_switches >= 1)
 
-    # duplicates: the probability threshold removes injected copies, an
-    # inert threshold lets them become spurious tracks
+    # duplicates: the null column removes injected copies; with every
+    # duplicate moved into new_tracks they become spurious tracks
     t0 = time.perf_counter()
     dup_seq = synth_sequence("duplicates", seed=0, cfg=SMALL)
     injected = sum(len(f.duplicates) for f in dup_seq.frames)
@@ -227,9 +227,16 @@ def test_criterion_4_tracking_scenarios():
     removed = sum(len(r.duplicates) for _, r in res_on)
     born_on = sum(len(r.new_tracks) for _, r in res_on)
     rep_on = evaluate(res_on, dup_seq)
-    inert = build_heuristic_model(
-        dataclasses.replace(SMALL, tau_dup=1.0), seed=0)
-    res_off = track_seq(dup_seq, inert)
+    keep = tracker.assign_and_filter
+
+    def no_removal(match):
+        matched, duplicates, new = keep(match)
+        return matched, [], sorted(duplicates + new)
+    tracker.assign_and_filter = no_removal
+    try:
+        res_off = track_seq(dup_seq, model)
+    finally:
+        tracker.assign_and_filter = keep
     removed_off = sum(len(r.duplicates) for _, r in res_off)
     born_off = sum(len(r.new_tracks) for _, r in res_off)
     rep_off = evaluate(res_off, dup_seq)

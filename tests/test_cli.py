@@ -108,7 +108,8 @@ def test_unknown_config_field_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("edge_update_mode", "features"),
-                                          ("heatmap_kernel_width", 10)])
+                                          ("heatmap_kernel_width", 10),
+                                          ("tau_dup", 0.4)])
 def test_settings_of_older_versions_are_unknown_fields(tmp_path, capsys, field, value):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({field: value}))
@@ -902,15 +903,13 @@ def test_config_not_object_is_usage_error(tmp_path, capsys):
     ("tau_age", 1.5, "tau_age must be an integer, got 1.5"),
     ("crop_height", 64.0, "crop_height must be an integer, got 64.0"),
     ("alpha", float("nan"), "alpha must be a finite number, got nan"),
-    ("tau_dup", float("inf"), "tau_dup must be a finite number, got inf"),
     ("oks_kappas", [float("nan")] + [0.08] * 7, "oks_kappas[0] must be finite, got nan"),
     ("oks_kappas", 0.1, "oks_kappas must be a list of numbers, got 0.1"),
     ("oks_kappas", "0.1", "oks_kappas must be a list of numbers, got '0.1'"),
     ("oks_kappas", ["x"] + [0.08] * 7, "oks_kappas[0] must be a number, got 'x'"),
 ], ids=["d_e_negative", "d_e_fraction", "d_bool", "keypoint_count_fraction",
-        "tau_age_fraction", "crop_height_float", "alpha_nan", "tau_dup_inf",
-        "kappa_nan",
-        "kappas_number", "kappas_string", "kappa_string"])
+        "tau_age_fraction", "crop_height_float", "alpha_nan",
+        "kappa_nan", "kappas_number", "kappas_string", "kappa_string"])
 def test_bad_config_value_is_usage_error(tmp_path, cfg_path, capsys, field, value, message):
     # refused when the config is read, before any frame runs or any file is written
     seq = short_sequence(tmp_path, cfg_path)

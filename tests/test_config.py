@@ -16,7 +16,6 @@ def test_defaults_accepted():
     assert cfg.d == 256
     assert cfg.d_e == 32
     assert cfg.alpha == 0.3
-    assert cfg.tau_dup == 0.4
     assert cfg.tau_age == 60
     assert cfg.n_encoder_stages == 2
     assert cfg.n_decoder_stages == 2
@@ -73,8 +72,6 @@ def test_readme_config_table_lists_exactly_the_fields():
 
 
 def test_tau_and_dims():
-    with pytest.raises(ValueError, match="tau_dup out of range"):
-        validate_config(EngineConfig(tau_dup=1.5))
     with pytest.raises(ValueError, match="tau_age"):
         validate_config(EngineConfig(tau_age=-1))
     with pytest.raises(ValueError, match="divisible by 8"):

@@ -104,7 +104,7 @@ def M(rows):
 
 def test_assign_identity_block():
     m = M([[0.9, 0.02], [0.03, 0.9]])
-    matched, dup, new = assign_and_filter(m, tau_dup=0.4)
+    matched, dup, new = assign_and_filter(m)
     assert sorted(matched) == [(0, 0), (1, 1)]
     assert dup == [] and new == []
 
@@ -112,7 +112,7 @@ def test_assign_identity_block():
 def test_two_detections_one_track_higher_wins():
     # both claim the same single track, higher probability becomes the match
     m = M([[0.90], [0.92]])
-    matched, dup, new = assign_and_filter(m, tau_dup=0.4)
+    matched, dup, new = assign_and_filter(m)
     assert matched == [(1, 0)]
     assert dup == [0]
     assert new == []
@@ -120,38 +120,48 @@ def test_two_detections_one_track_higher_wins():
 
 def test_null_dominated_detection_is_new():
     m = M([[0.03]])  # null prob 0.97 dominates
-    matched, dup, new = assign_and_filter(m, tau_dup=0.4)
+    matched, dup, new = assign_and_filter(m)
     assert matched == [] and dup == [] and new == [0]
 
 
 def test_no_tracks_everything_new():
     m = np.ones((3, 1))
-    matched, dup, new = assign_and_filter(m, tau_dup=0.4)
+    matched, dup, new = assign_and_filter(m)
     assert matched == [] and dup == [] and new == [0, 1, 2]
 
 
-def test_tau_dup_one_never_marks_duplicates():
-    m = M([[0.99], [0.99]])
-    _, dup, new = assign_and_filter(m, tau_dup=1.0)
-    assert dup == []
-    assert new == [0] or new == [1]
+def test_loser_above_its_null_is_a_duplicate():
+    # det 1 loses track 0 to det 0 and puts 0.35 on it against a null of
+    # 0.30; no other track beats its null, so it is a duplicate
+    m = M([[0.90, 0.03, 0.02], [0.35, 0.20, 0.15]])
+    matched, dup, new = assign_and_filter(m)
+    assert matched == [(0, 0)]
+    assert dup == [1] and new == []
 
 
-def test_tau_dup_zero_marks_any_positive_overlap():
+def test_loser_below_its_null_is_new():
+    # det 1 loses track 0 to det 0 and puts 0.45 on it against a null of
+    # 0.50, so it opens a new track
+    m = M([[0.90, 0.05], [0.45, 0.05]])
+    matched, dup, new = assign_and_filter(m)
+    assert matched == [(0, 0)]
+    assert dup == [] and new == [1]
+
+
+def test_duplicate_needs_a_track_above_its_null():
     m = M([[0.6, 0.1], [0.55, 0.05], [0.001, 0.0009]])
-    matched, dup, new = assign_and_filter(m, tau_dup=0.0)
-    # det 0 matches track 0; det 1 loses but has positive prob on a matched
-    # track; det 2's probabilities are tiny but still > 0
-    assert (0, 0) in matched
-    assert 1 in dup and 2 in dup
-    assert new == []
+    matched, dup, new = assign_and_filter(m)
+    # det 0 matches track 0; det 1 loses it but beats its null (0.4) there;
+    # det 2's probabilities are positive but far below its null (0.998)
+    assert matched == [(0, 0)]
+    assert dup == [1] and new == [2]
 
 
 def test_duplicates_only_against_matched_tracks():
-    # track 1 receives no match; det 1 is over-threshold only on track 1,
-    # so it must open a new track instead of being suppressed
+    # track 1 receives no match; det 1 beats its null on no track, so it
+    # must open a new track instead of being suppressed
     m = M([[0.70, 0.01], [0.02, 0.10]])
-    matched, dup, new = assign_and_filter(m, tau_dup=0.05)
+    matched, dup, new = assign_and_filter(m)
     assert matched == [(0, 0)]
     assert dup == [] and new == [1]
 
@@ -163,7 +173,7 @@ def test_partition_property_random():
         n_track = rng.integers(0, 6)
         raw = rng.uniform(size=(n_det, n_track + 1)) + 1e-6
         m = raw / raw.sum(axis=1, keepdims=True)
-        matched, dup, new = assign_and_filter(m, tau_dup=float(rng.uniform()))
+        matched, dup, new = assign_and_filter(m)
         seen = sorted([i for i, _ in matched] + dup + new)
         assert seen == list(range(n_det))
         tracks_used = [j for _, j in matched]
@@ -180,17 +190,18 @@ def row_stochastic(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(row_stochastic(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_tau_dup_moves_only_unmatched_detections(m, tau_a, tau_b):
-    # the matching ignores tau_dup; raising it can only turn duplicates
-    # into new tracks, never the other way round
-    lo, hi = sorted((tau_a, tau_b))
-    matched_lo, dup_lo, new_lo = assign_and_filter(m, tau_dup=lo)
-    matched_hi, dup_hi, new_hi = assign_and_filter(m, tau_dup=hi)
-    assert matched_lo == matched_hi
-    assert set(dup_hi) <= set(dup_lo)
-    assert set(new_lo) <= set(new_hi)
-    assert sorted([i for i, _ in matched_hi] + dup_hi + new_hi) == list(range(len(m)))
+@given(row_stochastic())
+def test_null_column_decides_assignment_and_duplicates(m):
+    matched, dup, new = assign_and_filter(m)
+    n_track = m.shape[1] - 1
+    allowed = m[:, :n_track] > m[:, n_track:]
+    assert sorted([i for i, _ in matched] + dup + new) == list(range(len(m)))
+    assert all(allowed[i, j] for i, j in matched)
+    unmatched = sorted(dup + new)
+    assert dup == [i for i in unmatched if allowed[i].any()]
+    # maximal on the allowed pairs: a duplicate's allowed tracks are all taken
+    free = set(range(n_track)) - {j for _, j in matched}
+    assert not any(allowed[i, j] for i in unmatched for j in free)
 
 
 # ---------------------------------------------------------------------------

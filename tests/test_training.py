@@ -21,7 +21,6 @@ from dstrack.training import (
     match_groups,
     subsequences,
     toy_lr,
-    total_loss,
     train_toy,
 )
 from dstrack.transformer import TrackingModel
@@ -249,13 +248,6 @@ def test_loss_attn_gradcheck(seed):
 
     err = nn.grad_check(run, [logits], rng=np.random.default_rng(seed + 10))
     assert err <= 1e-4, err
-
-
-def test_total_loss_arithmetic():
-    z = lambda v: nn.Tensor(np.array(float(v)))
-    total = total_loss(z(1.0), [z(0.5), z(0.5)], [z(0.25), z(0.25)])
-    assert float(total.data) == pytest.approx(2.5, rel=1e-12)
-    assert float(total_loss(z(0), [z(0)], [z(0)]).data) == 0.0
 
 
 # ---------------------------------------------------------------------------
