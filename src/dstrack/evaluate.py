@@ -22,7 +22,10 @@ IOU_MATCH_THRESHOLD = 0.5
 
 @dataclass
 class EvalReport:
-    id_switches: int
+    # one {"frame", "identity", "from_track", "to_track"} per identity
+    # switch, in frame order: at `frame` the identity's matched track
+    # changed from from_track to to_track
+    switches: List[Dict[str, int]]
     association_accuracy: float
     mota_lite: float
     misses: int
@@ -31,9 +34,14 @@ class EvalReport:
     precision: List[float]
     recall: List[float]
 
+    @property
+    def id_switches(self) -> int:
+        return len(self.switches)
+
     def to_dict(self) -> dict:
         return {
-            "id_switches": int(self.id_switches),
+            "id_switches": self.id_switches,
+            "switches": [{k: int(v) for k, v in s.items()} for s in self.switches],
             "association_accuracy": float(self.association_accuracy),
             "mota_lite": float(self.mota_lite),
             "misses": int(self.misses),
@@ -80,10 +88,10 @@ def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> Ev
     false_positives = 0
     precision: List[float] = []
     recall: List[float] = []
-    # identity -> ordered list of matched track ids (one per matched frame)
-    history: Dict[int, List[int]] = {}
+    # identity -> (frame, matched track id) of each frame it was matched in
+    history: Dict[int, List[Tuple[int, int]]] = {}
 
-    for (_, res), frame in zip(results, gt.frames):
+    for (frame_index, res), frame in zip(results, gt.frames):
         gt_indices = [i for i, ident in enumerate(frame.identities)
                       if ident is not None and i not in frame.duplicates]
         outputs = _frame_outputs(res)
@@ -95,13 +103,15 @@ def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> Ev
         recall.append(len(pairs) / len(gt_indices) if gt_indices else 1.0)
         for a, b in pairs:
             ident = frame.identities[gt_indices[b]]
-            history.setdefault(ident, []).append(outputs[a][1])
+            history.setdefault(ident, []).append((frame_index, outputs[a][1]))
 
-    switches = 0
+    switches: List[Dict[str, int]] = []
     agreements = 0
     matched_total = 0
-    for ids in history.values():
-        switches += sum(1 for prev, cur in zip(ids, ids[1:]) if prev != cur)
+    for ident, seen in history.items():
+        switches += [{"frame": f, "identity": ident, "from_track": prev, "to_track": cur}
+                     for (_, prev), (f, cur) in zip(seen, seen[1:]) if prev != cur]
+        ids = [track for _, track in seen]
         values, counts = np.unique(np.asarray(ids), return_counts=True)
         modal = values[np.argmax(counts)]
         agreements += int((np.asarray(ids) == modal).sum())
@@ -112,9 +122,10 @@ def evaluate(results: Sequence[Tuple[int, FrameResult]], gt: SequenceFile) -> Ev
         mota = 1.0
     else:
         accuracy = agreements / matched_total if matched_total else 0.0
-        mota = 1.0 - (misses + false_positives + switches) / total_gt
+        mota = 1.0 - (misses + false_positives + len(switches)) / total_gt
+    switches.sort(key=lambda s: (s["frame"], s["identity"]))
     return EvalReport(
-        id_switches=switches,
+        switches=switches,
         association_accuracy=accuracy,
         mota_lite=mota,
         misses=misses,

@@ -254,7 +254,7 @@ def read_results_jsonl(path: str) -> List[Tuple[int, FrameResult]]:
 
 def write_loss_csv(rows, path: str) -> None:
     """One row per iteration: iteration, match loss, per-stage attention
-    losses, total."""
+    losses, total, and the learning rate of the iteration's step."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if rows:
@@ -263,10 +263,10 @@ def write_loss_csv(rows, path: str) -> None:
             header = (["iteration", "match"]
                       + [f"enc{k}" for k in range(n_enc)]
                       + [f"dec{k}" for k in range(n_dec)]
-                      + ["total"])
+                      + ["total", "lr"])
             writer.writerow(header)
         for r in rows:
             writer.writerow([r.iteration, repr(r.match)]
                             + [repr(v) for v in r.enc]
                             + [repr(v) for v in r.dec]
-                            + [repr(r.total)])
+                            + [repr(r.total), repr(r.lr)])

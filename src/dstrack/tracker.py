@@ -9,6 +9,7 @@ returns a fresh TrackerState and never mutates its input.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,16 +61,87 @@ class TrackerState:
 
 
 def hungarian(cost: np.ndarray) -> List[Tuple[int, int]]:
-    """Minimum-cost one-to-one assignment of min(n, m) pairs."""
+    """Minimum-cost one-to-one assignment of min(n, m) pairs, in row order.
+
+    Crouse's shortest-augmenting-path form of the Jonker-Volgenant
+    algorithm (Crouse, IEEE TAES 2016; Jonker & Volgenant, Computing 1987),
+    ported step for step from scipy's rectangular_lsap, so that it returns
+    the pairs scipy's assignment solver returns, ties included:
+    a tall matrix is solved transposed, each path search scans the columns
+    from the last to the first, a tie for the nearest column goes to an
+    unassigned one, and the duals are updated with the same float
+    operations in the same order.
+
+    Raises ValueError for a NaN or -inf entry, and when +inf entries leave
+    no assignment of min(n, m) pairs at a finite cost.
+    """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
-    # imported at the first assignment, so that a process that never
-    # assigns (training) does not load scipy.optimize and its memory
-    from scipy.optimize import linear_sum_assignment
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("cost matrix contains NaN or -inf entries")
+    n_rows, n_cols = cost.shape
+    c = cost.tolist()
+    inf = math.inf
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
 
-    rows, cols = linear_sum_assignment(cost)
-    return list(zip(rows.tolist(), cols.tolist()))
+    for cur_row in range(n_rows):
+        # shortest augmenting path from cur_row to an unassigned column
+        shortest = [inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen: List[int] = []
+        cols_seen: List[int] = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    index, lowest = it, s
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:  # col4row[k] is the input row paired with input column k
+        return sorted((row, col) for col, row in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
 def assign_and_filter(match: np.ndarray):

@@ -111,15 +111,16 @@ class AdamW:
         self._m = {k: np.zeros_like(t.data) for k, t in store.items()}
         self._v = {k: np.zeros_like(t.data) for k, t in store.items()}
 
-    def step(self):
+    def step(self) -> float:
         """One update of every tensor that has a gradient, run over their
-        concatenated elements; tensors whose grad is None stay untouched."""
+        concatenated elements; tensors whose grad is None stay untouched.
+        Returns the rate the update used."""
         lr = toy_lr(self.lr, self.step_count)
         self.step_count += 1
         t = self.step_count
         live = [(name, param) for name, param in self.store.items() if param.grad is not None]
         if not live:
-            return
+            return lr
         g = np.concatenate([param.grad.ravel() for _, param in live])
         data = np.concatenate([param.data.ravel() for _, param in live])
         m = np.concatenate([self._m[name].ravel() for name, _ in live])
@@ -136,6 +137,7 @@ class AdamW:
             self._v[name] = v[offset:end].reshape(shape)
             param.data = data[offset:end].reshape(shape)
             offset = end
+        return lr
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,7 @@ class LossRow:
     enc: Tuple[float, ...]
     dec: Tuple[float, ...]
     total: float
+    lr: float     # the rate of this iteration's AdamW step
 
 
 def inject_duplicate(frame: SequenceFrame, rng: np.random.Generator) -> SequenceFrame:
@@ -319,7 +322,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
         total = nn.add(total, term)
     model.store.zero_grad()
     total.backward()
-    opt.step()
+    lr = opt.step()
     model.store.zero_grad()
     return LossRow(
         iteration=iteration,
@@ -327,6 +330,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
         enc=tuple(float(t.data) for t in enc_acc),
         dec=tuple(float(t.data) for t in dec_acc),
         total=float(total.data),
+        lr=lr,
     )
 
 

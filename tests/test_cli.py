@@ -1,4 +1,5 @@
 import base64
+import csv
 import dataclasses
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import dstrack
 from dstrack import nn
 from dstrack.cli import main
+from dstrack.training import TOY_LR, toy_lr
 from dstrack.transformer import TrackingModel
 from small_config import SMALL
 
@@ -182,9 +184,11 @@ def test_train_writes_checkpoint_and_curve(tmp_path, cfg_path, capsys):
                 "--out", str(ckpt), "--curve", str(curve)]) == 0
     capsys.readouterr()
     assert ckpt.stat().st_size > 0
-    rows = curve.read_text().strip().splitlines()
-    assert rows[0].startswith("iteration,match,")
+    with open(curve, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["iteration", "match"] and rows[0][-2:] == ["total", "lr"]
     assert len(rows) == 6
+    assert [float(r[-1]) for r in rows[1:]] == [toy_lr(TOY_LR, it) for it in range(5)]
 
     res = tmp_path / "res.jsonl"
     assert run(["track", str(seq), "--config", cfg_path,
@@ -359,35 +363,22 @@ def run_dstrack(*argv):  # python -m dstrack ARGV, in this process
 """
 
 
-def test_training_does_not_load_the_assignment_solver(tmp_path, cfg_path):
-    # scipy.optimize holds memory that only an assignment needs
+def test_no_command_loads_scipy_optimize(tmp_path, cfg_path):
+    # the assignment is solved in-house; scipy.optimize would only add memory
     seq = tmp_path / "seq.json"
-    assert run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "4",
+    res = tmp_path / "res.jsonl"
+    assert run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "4",
                 "--config", cfg_path, "--out", str(seq)]) == 0
     script = "import runpy, sys\n" + _RUN_DSTRACK + f"""
-from dstrack.sequence_io import load_sequence
-from dstrack.training import train_toy
-from small_config import SMALL
-train_toy([list(load_sequence({str(seq)!r}).frames)], SMALL, n_iters=2)
+run_dstrack("track", {str(seq)!r}, "--config", {cfg_path!r}, "--out", {str(res)!r})
+run_dstrack("eval", {str(res)!r}, {str(seq)!r}, "--out", {str(tmp_path / "report.json")!r})
 run_dstrack("train", {str(seq)!r}, "--config", {cfg_path!r}, "--iters", "2",
             "--out", {str(tmp_path / "m.ckpt")!r})
 print("scipy.optimize" in sys.modules)
 """
     assert _run_script(script).splitlines()[-1] == "False"
-
-
-def test_tracking_loads_the_assignment_solver(tmp_path, cfg_path):
-    seq = tmp_path / "seq.json"
-    assert run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "3",
-                "--config", cfg_path, "--out", str(seq)]) == 0
-    script = "import runpy, sys\n" + _RUN_DSTRACK + f"""
-assert "scipy.optimize" not in sys.modules
-run_dstrack("track", {str(seq)!r}, "--config", {cfg_path!r},
-            "--out", {str(tmp_path / "res.jsonl")!r})
-print("scipy.optimize" in sys.modules)
-"""
-    assert _run_script(script).splitlines()[-1] == "True"
-    assert len((tmp_path / "res.jsonl").read_text().splitlines()) == 3
+    assert len(res.read_text().splitlines()) == 4
+    assert json.loads((tmp_path / "report.json").read_text())["total_gt"] > 0
 
 
 def assert_one_error_line(err):

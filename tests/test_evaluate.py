@@ -54,7 +54,11 @@ def test_fresh_id_every_frame_counts_f_minus_1_switches():
         results.append((t, FrameResult(assignments=[(0, 0)],
                                        new_tracks=[(1, 100 + t)])))
     rep = evaluate(results, gt)
-    assert rep.id_switches == n - 1
+    assert rep.id_switches == n - 1 == len(rep.switches)
+    want = [{"frame": t, "identity": 8, "from_track": 99 + t, "to_track": 100 + t}
+            for t in range(1, n)]
+    assert rep.switches == want
+    assert rep.to_dict()["switches"] == want
 
 
 def test_rename_invariance():

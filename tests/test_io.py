@@ -240,12 +240,13 @@ def test_results_jsonl_round_trip(tmp_path):
 
 def test_loss_csv_layout(tmp_path):
     path = tmp_path / "loss.csv"
-    rows = [LossRow(iteration=0, match=1.5, enc=[0.2, 0.3], dec=[0.1, 0.4], total=2.5),
-            LossRow(iteration=1, match=1.0, enc=[0.1, 0.2], dec=[0.1, 0.1], total=1.5)]
+    rows = [LossRow(iteration=0, match=1.5, enc=[0.2, 0.3], dec=[0.1, 0.4], total=2.5, lr=1e-4),
+            LossRow(iteration=1, match=1.0, enc=[0.1, 0.2], dec=[0.1, 0.1], total=1.5, lr=2e-4)]
     write_loss_csv(rows, path)
     with open(path) as fh:
         parsed = list(csv.reader(fh))
-    assert parsed[0] == ["iteration", "match", "enc0", "enc1", "dec0", "dec1", "total"]
+    assert parsed[0] == ["iteration", "match", "enc0", "enc1", "dec0", "dec1", "total", "lr"]
     assert float(parsed[1][1]) == 1.5
-    assert float(parsed[2][-1]) == 1.5
+    assert float(parsed[2][-2]) == 1.5
+    assert float(parsed[2][-1]) == 2e-4
     assert len(parsed) == 3

@@ -15,6 +15,8 @@ from dstrack.evaluate import evaluate
 from dstrack.heuristics import build_heuristic_model
 from dstrack.synth import SCENARIOS, synth_sequence
 from dstrack.tracker import (
+    FORBIDDEN_COST,
+    LOG_EPS,
     FrameResult,
     TrackerState,
     assign_and_filter,
@@ -90,6 +92,75 @@ def test_hungarian_matches_brute_force_rectangular(shape):
     assert len(pairs) == min(shape)
     total = sum(cost[i, j] for i, j in pairs)
     assert total == pytest.approx(brute_force_assignment(cost), abs=1e-9)
+
+
+def _scipy_pairs(cost):
+    optimize = pytest.importorskip("scipy.optimize")
+    rows, cols = optimize.linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _cost_of_kind(kind, shape, rng):
+    if kind == "gaussian":
+        return rng.standard_normal(shape)
+    if kind == "integer_ties":
+        return rng.integers(0, 3, size=shape).astype(np.float64)
+    if kind == "forbidden_mix":
+        cost = -np.log(rng.uniform(size=shape) + LOG_EPS)
+        cost[rng.uniform(size=shape) < 0.5] = FORBIDDEN_COST
+        return cost
+    if kind == "decimal_ties":
+        # tenths are inexact in binary, so equal sums tie only up to
+        # rounding, and the pairs depend on the order of the float operations
+        cost = np.round(rng.uniform(size=shape), 1)
+        cost[rng.uniform(size=shape) < 0.3] = FORBIDDEN_COST
+        return cost
+    return np.full(shape, float(rng.integers(-2, 3)))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer_ties", "forbidden_mix",
+                                  "decimal_ties", "constant"])
+def test_hungarian_returns_scipys_pairs(kind):
+    # the same pairs, not only the same total: ties are broken as scipy does
+    rng = np.random.default_rng(len(kind))
+    for shape in itertools.product(range(1, 9), repeat=2):
+        for _ in range(64):
+            cost = _cost_of_kind(kind, shape, rng)
+            assert hungarian(cost) == _scipy_pairs(cost), (shape, cost)
+
+
+def test_hungarian_returns_scipys_pairs_on_a_crowd_frame():
+    # 16 detections, 17 tracks: each detection is allowed only near its own
+    # track, as in a crowd frame after the null-column rule
+    rng = np.random.default_rng(16)
+    cost = np.full((16, 17), FORBIDDEN_COST)
+    for i in range(16):
+        near = [j for j in (i - 1, i, i + 1) if 0 <= j < 17 and rng.uniform() < 0.8]
+        cost[i, near] = -np.log(rng.uniform(0.05, 1.0, size=len(near)))
+    for c in (cost, cost.T):
+        assert hungarian(c) == _scipy_pairs(c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_hungarian_refuses_nan_and_minus_inf(bad):
+    for shape in [(3, 3), (2, 4), (4, 2)]:
+        cost = np.ones(shape)
+        cost[1, 1] = bad
+        with pytest.raises(ValueError, match="NaN or -inf"):
+            hungarian(cost)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+def test_hungarian_refuses_a_row_of_plus_inf(shape):
+    cost = np.ones(shape)
+    cost[1] = np.inf
+    with pytest.raises(ValueError, match="infeasible"):
+        hungarian(cost)
+
+
+def test_hungarian_takes_plus_inf_a_finite_assignment_avoids():
+    cost = np.array([[np.inf, 1.0, 5.0], [2.0, np.inf, np.inf], [np.inf, 3.0, np.inf]])
+    assert hungarian(cost) == [(0, 2), (1, 0), (2, 1)]
 
 
 # ---------------------------------------------------------------------------
