@@ -363,21 +363,48 @@ def run_dstrack(*argv):  # python -m dstrack ARGV, in this process
 """
 
 
-def test_no_command_loads_scipy_optimize(tmp_path, cfg_path):
-    # the assignment is solved in-house; scipy.optimize would only add memory
+# wraps the in-house assignment solver so a script can count its calls
+_COUNT_HUNGARIAN = """
+import dstrack.evaluate, dstrack.tracker
+calls = []
+def counted(cost, _solve=dstrack.tracker.hungarian):
+    calls.append(cost.shape)
+    return _solve(cost)
+dstrack.tracker.hungarian = dstrack.evaluate.hungarian = counted
+"""
+
+
+def test_training_does_not_load_the_assignment_solver(tmp_path, cfg_path):
+    # training matches identities greedily; it never solves an assignment
     seq = tmp_path / "seq.json"
-    res = tmp_path / "res.jsonl"
-    assert run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "4",
+    assert run(["synth", "--scenario", "crowd", "--seed", "0", "--frames", "4",
                 "--config", cfg_path, "--out", str(seq)]) == 0
-    script = "import runpy, sys\n" + _RUN_DSTRACK + f"""
-run_dstrack("track", {str(seq)!r}, "--config", {cfg_path!r}, "--out", {str(res)!r})
-run_dstrack("eval", {str(res)!r}, {str(seq)!r}, "--out", {str(tmp_path / "report.json")!r})
+    script = "import runpy, sys\n" + _RUN_DSTRACK + _COUNT_HUNGARIAN + f"""
+from dstrack.sequence_io import load_sequence
+from dstrack.training import train_toy
+from small_config import SMALL
+train_toy([list(load_sequence({str(seq)!r}).frames)], SMALL, n_iters=2)
 run_dstrack("train", {str(seq)!r}, "--config", {cfg_path!r}, "--iters", "2",
             "--out", {str(tmp_path / "m.ckpt")!r})
-print("scipy.optimize" in sys.modules)
+print(len(calls), "scipy.optimize" in sys.modules)
 """
-    assert _run_script(script).splitlines()[-1] == "False"
-    assert len(res.read_text().splitlines()) == 4
+    assert _run_script(script).splitlines()[-1] == "0 False"
+
+
+def test_tracking_loads_the_assignment_solver(tmp_path, cfg_path):
+    # track and eval solve their assignments in-house, never with scipy.optimize
+    seq = tmp_path / "seq.json"
+    res = tmp_path / "res.jsonl"
+    assert run(["synth", "--scenario", "crossing", "--seed", "0", "--frames", "3",
+                "--config", cfg_path, "--out", str(seq)]) == 0
+    script = "import runpy, sys\n" + _RUN_DSTRACK + _COUNT_HUNGARIAN + f"""
+run_dstrack("track", {str(seq)!r}, "--config", {cfg_path!r}, "--out", {str(res)!r})
+tracked = len(calls)
+run_dstrack("eval", {str(res)!r}, {str(seq)!r}, "--out", {str(tmp_path / "report.json")!r})
+print(tracked > 0, len(calls) > tracked, "scipy.optimize" in sys.modules)
+"""
+    assert _run_script(script).splitlines()[-1] == "True True False"
+    assert len(res.read_text().splitlines()) == 3
     assert json.loads((tmp_path / "report.json").read_text())["total_gt"] > 0
 
 
