@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="associate detections over a sequence")
     p.add_argument("sequence", help="input sequence JSON")
     p.add_argument("--weights", help="checkpoint; omitted = untrained baseline")
-    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0, help="without --weights: "
+                   "seeds the random backbone that embeds crop-only detections")
     p.add_argument("--out", help="JSONL output path (default stdout)")
     p.add_argument("--config", help="JSON file of engine config overrides")
     p.set_defaults(func=cmd_track)
@@ -143,7 +144,7 @@ def _reading(path: str):
 def _load_model(cfg: EngineConfig, weights: Optional[str], seed: int,
                 with_backbone: bool = False) -> TrackingModel:
     if weights is None:
-        model = build_heuristic_model(cfg, seed=seed)
+        model = build_heuristic_model(cfg)
         if with_backbone:
             from .spapde import init_backbone_params
             init_backbone_params(model.store, cfg, np.random.default_rng(seed))

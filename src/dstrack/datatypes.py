@@ -166,6 +166,10 @@ class Pose:
         if rows.ndim != 2 or rows.shape[1] != 4:
             raise ValueError("pose keypoints must be rows of [x, y, confidence, visible], "
                              f"got shape {rows.shape}")
+        # json reads NaN and Infinity, and either != 0 would read as visible;
+        # Pose checks the other columns.  math: half a numpy check's cost
+        if not all(map(math.isfinite, rows[:, 3].tolist())):
+            raise ValueError("pose visible flags must be finite")
         return Pose(coords=rows[:, :2], conf=rows[:, 2], visible=rows[:, 3] != 0.0)
 
 

@@ -12,10 +12,11 @@ No training at all: the attention stack is wired so that
     born with.
 
 The GELU/LayerNorm blocks in the fixed architecture are pushed into their
-linear regime (tiny LN gain, bias well inside the monotone region of GELU)
-and the one remaining free linear layer is calibrated by least squares
-against probes of the real forward pass.  Useful as an untrained baseline
-and for scenario tests where behavior must be predictable.
+linear regime (tiny LN gain, bias well inside the monotone region of GELU).
+Every weight is written in closed form: nothing is drawn at random and
+nothing is fitted, so the model depends on the config alone.  Useful as an
+untrained baseline and for scenario tests where behavior must be
+predictable.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ GATE_BIAS = -20.0        # sigmoid(-20) ~ 2e-9: embeddings never drift
 _LN_EPS = 0.05           # LN gain during linearization
 _LN_SHIFT = 3.0          # GELU operating point; slope there is ~1
 _FFN_E_EPS = 0.01
-_BIAS_SPREAD = 25.0      # dominates pre-LN variance so rows normalize affinely
+_EDGE_SIGNAL = 0.12      # signal/bias ratio in the edge head: its residual grows
+                         # as the square, max|w3| as the inverse
 
 
 def _phi(x):
@@ -53,21 +55,8 @@ def _gelu_slope(x):
     return _cdf(x) + x * _phi(x)
 
 
-def _zero(store, name):
-    store[name].data[...] = 0.0
-
-
 def _set(store, name, value):
     store[name].data[...] = value
-
-
-def _unit_bias(rng, width):
-    """Mean-zero, unit-std bias pattern; scaled up it pins the LN statistics
-    so the normalized activations stay affine in the input."""
-    q = rng.standard_normal(width)
-    q -= q.mean()
-    q /= q.std()
-    return q
 
 
 def _identity_head(store, prefix, d):
@@ -76,7 +65,7 @@ def _identity_head(store, prefix, d):
     slope = _gelu_slope(_LN_SHIFT)
     g0 = _gelu_val(_LN_SHIFT)
     _set(store, f"{prefix}.w1", np.eye(d))
-    _zero(store, f"{prefix}.b1")
+    _set(store, f"{prefix}.b1", 0.0)
     _set(store, f"{prefix}.ln.g", np.full(d, _LN_EPS))
     _set(store, f"{prefix}.ln.b", np.full(d, _LN_SHIFT))
     _set(store, f"{prefix}.w2", np.eye(d) / (slope * _LN_EPS))
@@ -94,9 +83,9 @@ def _passthrough_stage(store, prefix):
     weight traffic that a trained one does.
     """
     for name in ("wq", "wk", "wa"):
-        _zero(store, f"{prefix}.{name}")
+        _set(store, f"{prefix}.{name}", 0.0)
     for name in ("ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"):
-        _zero(store, f"{prefix}.{name}")
+        _set(store, f"{prefix}.{name}", 0.0)
 
 
 def _linear_ffn_e(store, prefix, scale):
@@ -111,49 +100,50 @@ def _linear_ffn_e(store, prefix, scale):
     _set(store, f"{prefix}.b2", scale * (-g0 / (slope * _FFN_E_EPS)))
 
 
-def _probe_features(rng, n):
-    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 4)).reshape(4, -1).T
-    interior = rng.uniform(0.0, 1.0, size=(n, 4))
-    return np.concatenate([corners, interior, np.full((1, 4), 0.5)], axis=0)
+def _construct_edge_head(model: TrackingModel):
+    """Write the edge head so that its logit is EDGE_GAIN * (mean(f) -
+    EDGE_FLOOR) up to third order in t = mean(f) - 0.5.
 
-
-def _calibrate_edge_head(model: TrackingModel, rng):
-    """Draw the two projections, linearize both LN+GELU blocks, then
-    least-squares fit the output row so the edge logit is
-    EDGE_GAIN * (mean(f) - EDGE_FLOOR)."""
+    Over the d_e units, p = sqrt(2) cos(2 pi j / d_e) and q = sqrt(2) sin(2 pi
+    j / d_e) are orthogonal, with mean 0 and mean square 1.  Each block's
+    pre-LN input is a multiple of p + _EDGE_SIGNAL * t * q: p pins the LN
+    statistics and q carries t.  Units j and d_e - j share p and have opposite
+    q, so the even-order terms of LN+GELU cancel in the q readouts: w2, the
+    projector onto q, and w3, whose gain is read from the head's own output
+    at t = -0.25 and 0.25."""
     s = model.store
     d_e = model.cfg.d_e
-    for name in ("edge_head.w1", "edge_head.w2"):  # fan-in uniform, as TrackingModel draws
-        out_dim, in_dim = s[name].data.shape
-        bound = 1.0 / np.sqrt(in_dim)
-        _set(s, name, rng.uniform(-bound, bound, size=(out_dim, in_dim)))
+    if d_e < 3:  # q = 0 for d_e <= 2: no unit can carry the signal
+        raise ValueError(f"the heuristic edge head needs d_e >= 3, got d_e = {d_e}")
+    angle = 2.0 * np.pi * np.arange(d_e) / d_e
+    p, q = np.sqrt(2.0) * np.cos(angle), np.sqrt(2.0) * np.sin(angle)
+    _set(s, "edge_head.w1", np.outer(_EDGE_SIGNAL * q, np.full(4, 0.25)))
+    _set(s, "edge_head.b1", p - 0.5 * _EDGE_SIGNAL * q)
+    _set(s, "edge_head.w2", np.outer(q, q) / d_e)
+    # w2 passes q times _LN_EPS * slope * _EDGE_SIGNAL * t: the same ratio to b2
+    _set(s, "edge_head.b2", _LN_EPS * _gelu_slope(_LN_SHIFT) * p)
     for block in ("1", "2"):
-        _set(s, f"edge_head.b{block}", _BIAS_SPREAD * _unit_bias(rng, d_e))
         _set(s, f"edge_head.ln{block}.g", np.full(d_e, _LN_EPS))
         _set(s, f"edge_head.ln{block}.b", np.full(d_e, _LN_SHIFT))
-
-    probes = _probe_features(rng, max(4 * d_e, 200))
-    hidden = model.edge_head(probes).data                     # (N, d_e)
-    target = EDGE_GAIN * (probes.mean(axis=1) - EDGE_FLOOR)
-    design = np.concatenate([hidden, np.ones((len(probes), 1))], axis=1)
-    beta, *_ = np.linalg.lstsq(design, target, rcond=None)
-
-    _set(s, "edge_head.w3", beta[:-1])
-    _set(s, "edge_head.b3", beta[-1])
-    return float(np.max(np.abs(design @ beta - target)))
+    lo, hi = model.edge_head(np.array([[0.25] * 4, [0.75] * 4])).data @ q
+    _set(s, "edge_head.w3", EDGE_GAIN * 0.5 / (hi - lo) * q)
+    _set(s, "edge_head.b3", EDGE_GAIN * (0.5 - EDGE_FLOOR))
 
 
 def build_heuristic_model(cfg: EngineConfig, seed: int = 0) -> TrackingModel:
     """A TrackingModel whose behavior follows from geometry and appearance
-    directly; `model.edge_fit_residual` records the calibration error."""
+    directly.  Raises ValueError for d_e < 3.
+
+    Every weight is constructed, so `seed` changes nothing.  It stays only
+    because perfbench/worker.py passes seed=0, and goes with the next change
+    to the benchmark (ROADMAP item 3)."""
     model = TrackingModel(cfg, seed=None)  # every weight is set below
     s = model.store
-    rng = np.random.default_rng(seed + 0x5EED)
 
     for n in range(cfg.n_encoder_stages):
         _passthrough_stage(s, f"encoder.stage{n}")
 
-    residual = _calibrate_edge_head(model, rng)
+    _construct_edge_head(model)
 
     for n in range(cfg.n_decoder_stages):
         p = f"decoder.stage{n}"
@@ -167,8 +157,6 @@ def build_heuristic_model(cfg: EngineConfig, seed: int = 0) -> TrackingModel:
     _set(s, "match.wq", APPEARANCE_SCALE * np.eye(cfg.d))
     _set(s, "match.wk", np.eye(cfg.d))
 
-    _zero(s, "conf.w")
+    _set(s, "conf.w", 0.0)
     _set(s, "conf.b", np.array([GATE_BIAS]))
-
-    model.edge_fit_residual = residual
     return model

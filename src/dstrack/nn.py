@@ -651,7 +651,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = entry.get("name") if isinstance(entry, dict) else None
             shape = entry.get("shape") if isinstance(entry, dict) else None
             if not (isinstance(name, str) and isinstance(shape, list)
-                    and all(isinstance(k, int) and k >= 0 for k in shape)):
+                    and all(isinstance(k, int) and not isinstance(k, bool) and k >= 0
+                            for k in shape)):
                 raise ValueError(f"checkpoint header: tensor entry {n} needs a name "
                                  "and a shape of non-negative integers")
             if name in out:

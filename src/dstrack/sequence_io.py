@@ -87,10 +87,9 @@ def _warn_unknown(found: dict, known: set, where: str) -> None:
 
 
 def _int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: expected an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):  # not rounded, nor parsed
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def load_sequence(path: str) -> SequenceFile:
@@ -158,12 +157,16 @@ def load_sequence(path: str) -> SequenceFile:
         dups = fd.get("duplicates", [])
         if not isinstance(dups, list):
             raise ValueError(f"frame {index}: duplicates must be a list")
+        for n_dup, i in enumerate(dups):
+            if not (_is_index(i) and i < len(dets)) or i in dups[:n_dup]:
+                raise ValueError(f"frame {index}: duplicates must be distinct indices of "
+                                 f"the frame's {len(dets)} detections, got {dups!r}")
         frames.append(SequenceFrame(
             index=index,
             image_size=tuple(_int(v, f"frame {index}: image_size") for v in size),
             detections=dets,
             identities=idents,
-            duplicates=tuple(_int(i, f"frame {index}: duplicates") for i in dups),
+            duplicates=tuple(dups),
         ))
     return SequenceFile(
         sequence_id=str(doc.get("sequence_id", "")),

@@ -453,9 +453,12 @@ BAD_ENTRY = "checkpoint header: tensor entry 0 needs a name and a shape of non-n
      "checkpoint header truncated"),
     (_header_with_entry({"name": "w", "shape": [1]}, {"name": "w", "shape": [2]}),
      "checkpoint header lists tensor w twice"),
+    # JSON true is a Python int, and reshape raises TypeError on it
+    (_header_with_entry({"name": "w", "shape": [True]}), BAD_ENTRY),
 ], ids=["cut_after_magic", "cut_inside_header", "header_without_tensors",
         "entry_without_shape", "entry_without_name", "entry_not_object", "garbage",
-        "shape_beyond_payload", "header_length_beyond_file", "name_listed_twice"])
+        "shape_beyond_payload", "header_length_beyond_file", "name_listed_twice",
+        "shape_bool"])
 def test_damaged_checkpoint_is_runtime_error(tmp_path, cfg_path, capsys, damage, message):
     seq = short_sequence(tmp_path, cfg_path)
     good = tmp_path / "good.ckpt"
@@ -642,6 +645,38 @@ def _keypoint_confidence_above_one(doc):
     _keypoints(doc)[0][2] = 1.5
 
 
+def _nan_visible(doc):
+    _keypoints(doc)[3][3] = float("nan")
+
+
+def _infinite_visible(doc):
+    _keypoints(doc)[3][3] = -float("inf")
+
+
+def _fractional_index(doc):
+    doc["frames"][1]["index"] = 1.5
+
+
+def _bool_index(doc):
+    doc["frames"][1]["index"] = True
+
+
+def _string_image_size(doc):
+    doc["frames"][0]["image_size"] = ["64", 64]
+
+
+def _duplicate_past_detections(doc):
+    doc["frames"][1]["duplicates"] = [99]
+
+
+def _negative_duplicate(doc):
+    doc["frames"][1]["duplicates"] = [-1]
+
+
+def _duplicate_twice(doc):
+    doc["frames"][1]["duplicates"] = [0, 0]
+
+
 def _ragged_appearance(doc):
     doc["frames"][1]["detections"][0]["appearance"] = [[0.5, 0.5], [0.5]]
 
@@ -693,6 +728,7 @@ def _packed_crop_bytes_short(doc):
 CROP_DAMAGES = (_nan_in_crop, _short_crop, _drop_crop, _mixed_frame, _packed_crop_bytes_short)
 NOT_PACKED = "must be a nested list or an object with exactly 'shape' and 'f64le'"
 BAD_SHAPE = "shape must be a list of non-negative integers"
+BAD_DUPLICATES = "frame 1: duplicates must be distinct indices of the frame's 8 detections, got"
 
 
 def damaged_sequence(tmp_path, cfg_path, damage):
@@ -736,6 +772,17 @@ def damaged_sequence(tmp_path, cfg_path, damage):
                            "to float"),
     (_nan_keypoint_coordinate, "frame 1, detection 0: pose coordinates must be finite"),
     (_keypoint_confidence_above_one, "frame 1, detection 0: pose confidences must lie in [0, 1]"),
+    # json reads NaN and Infinity; either is != 0, so it would load as visible
+    (_nan_visible, "frame 1, detection 0: pose visible flags must be finite"),
+    (_infinite_visible, "frame 1, detection 0: pose visible flags must be finite"),
+    # int() would read 1.5 as 1 and true as 1, and eval would score around
+    # a duplicate index that names no detection
+    (_fractional_index, "frame 1 in the frames list: index: expected an integer, got 1.5"),
+    (_bool_index, "frame 1 in the frames list: index: expected an integer, got True"),
+    (_string_image_size, "frame 0: image_size: expected an integer, got '64'"),
+    (_duplicate_past_detections, f"{BAD_DUPLICATES} [99]"),
+    (_negative_duplicate, f"{BAD_DUPLICATES} [-1]"),
+    (_duplicate_twice, f"{BAD_DUPLICATES} [0, 0]"),
     # a packed array is {"shape": [...], "f64le": base64 float64 bytes}
     (_appearance_string, f"frame 1, detection 0: appearance {NOT_PACKED}"),
     (_packed_extra_key, f"frame 1, detection 0: appearance {NOT_PACKED}"),
@@ -805,7 +852,8 @@ def test_float_overflow_stops_train_naming_file_and_iteration(tmp_path, cfg_path
     assert not ckpt.exists()
 
 
-@pytest.mark.parametrize("damage", [_list_identity, _list_fps])
+@pytest.mark.parametrize("damage", [_list_identity, _list_fps, _duplicate_past_detections,
+                                    _duplicate_twice])
 def test_train_and_eval_refuse_malformed_labels_at_load(tmp_path, cfg_path, capsys, damage):
     seq = short_sequence(tmp_path, cfg_path)
     res = tmp_path / "res.jsonl"

@@ -1,20 +1,28 @@
 """Hand-constructed weights behave as advertised."""
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
 
 from dstrack import nn
 from dstrack.config import EngineConfig
-from dstrack.heuristics import build_heuristic_model
+from dstrack.cli import main
+from dstrack.heuristics import EDGE_FLOOR, EDGE_GAIN, build_heuristic_model
 from dstrack.tracker import TrackerState, step
 from small_config import SMALL as CFG
 
-# the edge readout is fitted per config: check it at the small test config
-# and at the default one
+# the edge readout is constructed per config: check it at the small test
+# config and at the default one
 EDGE_CONFIGS = pytest.mark.parametrize("cfg", [CFG, EngineConfig()],
                                        ids=["small", "default"])
+# and, for the construction itself, at the widest edge path and the
+# narrowest one it can build
+WIDE = [CFG, EngineConfig(), EngineConfig(d_e=256)]
+WIDE_IDS = ["small", "default", "d_e256"]
+WIDTHS = pytest.mark.parametrize("cfg", WIDE + [EngineConfig(d_e=3)],
+                                 ids=WIDE_IDS + ["d_e3"])
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +52,74 @@ def final_edge_logit(model, features):
     return o_edge.data[0]
 
 
-@EDGE_CONFIGS
+def edge_probes():
+    """The 16 corners of the feature cube, 200 seeded interior points and
+    the centre."""
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 4)).reshape(4, -1).T
+    interior = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, 4))
+    return np.concatenate([corners, interior, np.full((1, 4), 0.5)])
+
+
+def edge_head_logit(model, features):
+    """The edge head's own output, w3 . edge_head(f) + b3, per feature row."""
+    s = model.store
+    out = nn.linear(model.edge_head(features), s["edge_head.w3"], s["edge_head.b3"])
+    return out.data[:, 0]
+
+
+@WIDTHS
 def test_edge_calibration_residual_small(cfg):
-    assert model_at(cfg.alpha, cfg).edge_fit_residual < 0.02
+    f = edge_probes()
+    target = EDGE_GAIN * (f.mean(axis=1) - EDGE_FLOOR)
+    residual = np.max(np.abs(edge_head_logit(model_at(cfg.alpha, cfg), f) - target))
+    assert residual < 0.02
+
+
+@pytest.mark.parametrize("cfg", WIDE, ids=WIDE_IDS)
+def test_edge_readout_is_moderate(cfg):
+    # max|w3| falls as 1/d_e: a least-squares readout through the GELU
+    # curvature reached 1e8 here
+    assert np.max(np.abs(model_at(cfg.alpha, cfg).store["edge_head.w3"].data)) <= 100.0
+
+
+@WIDTHS
+def test_edge_logit_independent_of_summation_order(cfg):
+    # the units of the edge head permuted: the same function, summed in
+    # another order by both matmuls over d_e
+    f = edge_probes()
+    base = edge_head_logit(model_at(cfg.alpha, cfg), f)
+    model = build_heuristic_model(cfg)
+    perm = np.random.default_rng(6).permutation(cfg.d_e)
+    s = model.store
+    for name in ("w1", "b1", "ln1.g", "ln1.b", "b2", "ln2.g", "ln2.b"):
+        s[f"edge_head.{name}"].data[...] = s[f"edge_head.{name}"].data[perm]
+    s["edge_head.w2"].data[...] = s["edge_head.w2"].data[perm][:, perm]
+    s["edge_head.w3"].data[...] = s["edge_head.w3"].data[:, perm]
+    moved = edge_head_logit(model, f)
+    assert np.max(np.abs(moved - base)) <= 1e-12 * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("d_e", [1, 2])
+def test_too_narrow_edge_path_is_refused(d_e, tmp_path, capsys):
+    cfg = dataclasses.replace(CFG, d_e=d_e)
+    with pytest.raises(ValueError, match="d_e"):
+        build_heuristic_model(cfg)
+    seq, cfg_path = tmp_path / "seq.json", tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    assert main(["synth", "--scenario", "crossing", "--frames", "2",
+                 "--config", str(cfg_path), "--out", str(seq)]) == 0
+    capsys.readouterr()
+    assert main(["track", str(seq), "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "d_e" in err
+
+
+def test_seed_changes_no_weight():
+    a = build_heuristic_model(CFG, seed=0).store.state_dict()
+    b = build_heuristic_model(CFG, seed=1).store.state_dict()
+    assert a.keys() == b.keys()
+    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 @EDGE_CONFIGS

@@ -139,6 +139,52 @@ def test_malformed_frames_list(tmp_path, frames, message):
         load_sequence(path)
 
 
+def two_detection_frame(**fields):
+    """A one-frame schema-2 document whose frame has two detections and
+    the given fields on top."""
+    frame = {"index": 0, "image_size": [64, 64],
+             "detections": [one_detection(10.0).to_dict(), one_detection(40.0).to_dict()]}
+    frame.update(fields)
+    return {"schema_version": 2, "frames": [frame]}
+
+
+INT_MSG = "expected an integer, got"
+DUP_MSG = "frame 0: duplicates must be distinct indices of the frame's 2 detections, got"
+
+
+# int() would round 2.7 down, parse "3" and read true as 1
+@pytest.mark.parametrize("fields, message", [
+    ({"index": 2.7}, f"frame 0 in the frames list: index: {INT_MSG} 2.7"),
+    ({"index": "3"}, f"frame 0 in the frames list: index: {INT_MSG} '3'"),
+    ({"index": True}, f"frame 0 in the frames list: index: {INT_MSG} True"),
+    ({"image_size": ["64", 64]}, f"frame 0: image_size: {INT_MSG} '64'"),
+    ({"image_size": [64, 63.5]}, f"frame 0: image_size: {INT_MSG} 63.5"),
+    ({"duplicates": [99]}, f"{DUP_MSG} [99]"),
+    ({"duplicates": [-1]}, f"{DUP_MSG} [-1]"),
+    ({"duplicates": [2]}, f"{DUP_MSG} [2]"),
+    ({"duplicates": ["1"]}, f"{DUP_MSG} ['1']"),
+    ({"duplicates": [1.0]}, f"{DUP_MSG} [1.0]"),
+    ({"duplicates": [True]}, f"{DUP_MSG} [True]"),
+    ({"duplicates": [0, 0]}, f"{DUP_MSG} [0, 0]"),
+], ids=["index_fraction", "index_string", "index_bool", "image_size_string",
+        "image_size_fraction", "duplicate_past_detections", "duplicate_negative",
+        "duplicate_one_past_detections", "duplicate_string", "duplicate_float",
+        "duplicate_bool", "duplicate_twice"])
+def test_frame_integers_must_be_json_integers(tmp_path, fields, message):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(two_detection_frame(**fields)))
+    with pytest.raises(ValueError) as e:
+        load_sequence(path)
+    assert str(e.value) == message
+
+
+def test_every_detection_of_a_frame_may_be_a_duplicate(tmp_path):
+    path = tmp_path / "dups.json"
+    path.write_text(json.dumps(two_detection_frame(index=5, duplicates=[1, 0])))
+    frame = load_sequence(path).frames[0]
+    assert (frame.index, frame.duplicates) == (5, (1, 0))
+
+
 def test_non_monotone_frames(tmp_path):
     path = tmp_path / "order.json"
     doc = {"schema_version": 1, "frames": [
