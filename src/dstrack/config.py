@@ -86,6 +86,9 @@ def validate_config(cfg: EngineConfig) -> EngineConfig:
         raise ValueError("embedding dim must be positive")
     if cfg.d_e <= 0:
         raise ValueError("edge width d_e must be positive")
+    for name in ("d", "d_e"):  # layer_norm normalizes over each width
+        if getattr(cfg, name) < 2:
+            raise ValueError(f"{name} must be at least 2, got {getattr(cfg, name)}")
     if cfg.keypoint_count <= 0:
         raise ValueError("keypoint count must be positive")
     if cfg.n_encoder_stages <= 0:

@@ -3,8 +3,10 @@
 step() is the single entry point: it runs the frame through the attention
 model, solves the assignment, filters duplicate detections, updates every
 track embedding, opens tracks for unexplained detections and retires tracks
-that have gone unmatched too long.  State is threaded functionally: step
-returns a fresh TrackerState and never mutates its input.
+that have gone unmatched too long, in one pass over the tracks.  A frame
+without detections runs no model, and every track ages with its embedding
+kept.  State is threaded functionally: step returns a fresh TrackerState and
+never mutates its input.
 """
 from __future__ import annotations
 
@@ -251,80 +253,63 @@ def detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.
     return appearance_embed_batch(crops, np.stack(heats), model.store)
 
 
-def _age_and_close(tracks: Sequence[Track], tau_age: int):
-    """Age unmatched tracks by one frame; returns (surviving tracks, closed ids)."""
-    survivors, closed = [], []
-    for t in tracks:
-        aged = dataclasses.replace(t, frames_since_match=t.frames_since_match + 1)
-        if aged.frames_since_match > tau_age:
-            closed.append(aged.id)
-        else:
-            survivors.append(aged)
-    return survivors, closed
-
-
 def step(state: TrackerState, detections: Sequence[Detection], model: TrackingModel,
          ) -> Tuple[FrameResult, TrackerState, Optional[FrameForward]]:
-    """Advance the tracker by one frame.
+    """Advance the tracker by one frame, in one pass over the tracks.
 
-    Returns (FrameResult, new state, FrameForward or None).  The forward
-    intermediates are returned so training and diagnostics can reuse them;
-    plain tracking can ignore the third element.
+    A matched track takes its detection's pose and box, its updated
+    embedding and age 0.  An unmatched track takes its confidence-blended
+    embedding and ages by one frame while it has gone unmatched fewer than
+    tau_age frames; otherwise its id is closed.  A frame without detections
+    runs no model, so nothing is matched and every track ages with its
+    embedding kept.
+
+    Returns (FrameResult, new state with tracks sorted by id, FrameForward
+    or None for a frame without detections).  The forward intermediates are
+    returned so training and diagnostics can reuse them.
     """
     cfg = model.cfg
     tracks = state.tracks
+    fwd = None
+    matched, dup_idx, new_idx = [], [], []
+    embeddings = [t.embedding for t in tracks]
+    if detections:
+        e_d0 = detection_embeddings(detections, model)
+        raw = edge_features(tracks, detections, cfg)
+        e_t_old = np.stack(embeddings) if tracks else np.zeros((0, cfg.d))
+        fwd = model.forward_frame(e_t_old, raw, e_d0)
+        matched, dup_idx, new_idx = assign_and_filter(fwd.match.fused.data)
+        embeddings = fwd.updated_tracks.data
 
-    if len(detections) == 0:
-        survivors, closed = _age_and_close(tracks, cfg.tau_age)
-        result = FrameResult(closed_tracks=closed)
-        return result, TrackerState(survivors, state.next_id), None
-
-    e_d0 = detection_embeddings(detections, model)
-    raw = edge_features(tracks, detections, cfg)
-    e_t_old = np.stack([t.embedding for t in tracks]) if tracks else np.zeros((0, cfg.d))
-    fwd = model.forward_frame(e_t_old, raw, e_d0)
-
-    matched, dup_idx, new_idx = assign_and_filter(fwd.match.fused.data)
+    result = FrameResult(assignments=[(det_idx, tracks[pos].id) for det_idx, pos in matched],
+                         duplicates=dup_idx)
+    det_of = {pos: det_idx for det_idx, pos in matched}
+    next_tracks: List[Track] = []
+    for pos, t in enumerate(tracks):
+        if pos in det_of:
+            det = detections[det_of[pos]]
+            pose, box, age = det.pose, det.box, 0
+        elif t.frames_since_match < cfg.tau_age:
+            pose, box, age = t.last_pose, t.last_box, t.frames_since_match + 1
+        else:
+            result.closed_tracks.append(t.id)
+            continue
+        next_tracks.append(dataclasses.replace(
+            t, embedding=embeddings[pos], last_pose=pose, last_box=box, frames_since_match=age))
 
     next_id = state.next_id
-    result = FrameResult(duplicates=list(dup_idx))
-    updated = fwd.updated_tracks.data
-
-    new_tracks: List[Track] = []
-    for det_idx, track_pos in matched:
-        old = tracks[track_pos]
-        det = detections[det_idx]
-        new_tracks.append(dataclasses.replace(
-            old,
-            embedding=updated[track_pos],
-            last_pose=det.pose,
-            last_box=det.box,
-            frames_since_match=0,
-        ))
-        result.assignments.append((det_idx, old.id))
-
-    # unmatched existing tracks keep their confidence-blended embedding
-    matched_pos = {track_pos for _, track_pos in matched}
-    unmatched_existing = [
-        dataclasses.replace(t, embedding=updated[pos])
-        for pos, t in enumerate(tracks) if pos not in matched_pos
-    ]
-
     if new_idx:
         fresh_embed = model.new_track_head(
             nn.take(fwd.enc_out, (np.asarray(new_idx),))).data
         for row, det_idx in enumerate(new_idx):
             det = detections[det_idx]
-            new_tracks.append(Track(
+            next_tracks.append(Track(
                 id=next_id, embedding=fresh_embed[row], last_pose=det.pose,
                 last_box=det.box))
             result.new_tracks.append((det_idx, next_id))
             next_id += 1
-
-    survivors, closed = _age_and_close(unmatched_existing, cfg.tau_age)
-    result.closed_tracks = closed
-    all_tracks = sorted(new_tracks + survivors, key=lambda t: t.id)
-    return result, TrackerState(all_tracks, next_id), fwd
+    next_tracks.sort(key=lambda t: t.id)
+    return result, TrackerState(next_tracks, next_id), fwd
 
 
 def run_sequence(frames: Sequence[Sequence[Detection]], model: TrackingModel):

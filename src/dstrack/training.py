@@ -190,17 +190,26 @@ class _TeacherTrack:
     last_box: Box
 
 
+def _canonical_detections(frame: SequenceFrame) -> Dict[int, int]:
+    """identity -> its first detection that frame.duplicates does not list,
+    the person training follows and evaluate scores; an identity whose
+    every detection is listed is left out."""
+    out: Dict[int, int] = {}
+    for i, ident in enumerate(frame.identities):
+        if ident is not None and i not in frame.duplicates:
+            out.setdefault(ident, i)
+    return out
+
+
 def _frame_labels(frame: SequenceFrame, cfg: EngineConfig) -> List[Optional[int]]:
     """Recover detection identities by greedy OKS matching against the
-    frame's own labeled poses (canonical detections, duplicates excluded),
-    then copy identities onto injected duplicates by index."""
-    canonical = [group[0] for group in identity_groups(frame.identities).values()]
-    gt_ids = [frame.identities[i] for i in canonical]
-    gt_poses = [frame.detections[i].pose for i in canonical]
-    gt_boxes = [frame.detections[i].box for i in canonical]
+    frame's canonical detections (listed duplicates excluded), then copy
+    each labeled detection's identity, duplicates included, by index."""
+    people = _canonical_detections(frame)
+    gt = [frame.detections[i] for i in people.values()]
     labels = greedy_identity_assignment(
-        [d.pose for d in frame.detections], gt_poses, gt_ids, gt_boxes,
-        cfg.oks_kappas)
+        [d.pose for d in frame.detections], [d.pose for d in gt], list(people),
+        [d.box for d in gt], cfg.oks_kappas)
     # injected duplicates carry their identity explicitly; trust the metadata
     for i, ident in enumerate(frame.identities):
         if ident is not None:
@@ -314,7 +323,7 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
         for k in range(n_enc):
             enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], enc_groups))
         if f + 1 < len(frames):  # the last frame has no next frame to track into
-            e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame, groups,
+            e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame,
                                                      track_ids, teacher)
 
     total = match_acc
@@ -335,31 +344,20 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
 
 
 def _advance_state(model: TrackingModel, e_t: nn.Tensor, enc_out: nn.Tensor,
-                   frame: SequenceFrame, groups: Dict[int, List[int]], track_ids: List[int],
+                   frame: SequenceFrame, track_ids: List[int],
                    teacher: List[_TeacherTrack]):
     """Ground-truth-matched update: existing tracks keep their embedding row
-    of e_t and adopt the canonical detection geometry; unseen identities open
+    of e_t and adopt their identity's canonical detection geometry (a track
+    whose identity has none keeps its own); identities without a track open
     teacher-forced new tracks from the new-track head on the canonical
     detection's row of enc_out."""
-    new_track_ids = list(track_ids)
-    new_teacher = []
-    for pos, ident in enumerate(track_ids):
-        group = groups.get(ident, [])
-        if group:
-            det = frame.detections[group[0]]
-            new_teacher.append(_TeacherTrack(det.pose, det.box))
-        else:
-            new_teacher.append(teacher[pos])
-
-    fresh_rows = []
-    for ident, group in groups.items():
-        if ident in track_ids:
-            continue
-        det = frame.detections[group[0]]
-        new_track_ids.append(ident)
-        new_teacher.append(_TeacherTrack(det.pose, det.box))
-        fresh_rows.append(group[0])
-    if fresh_rows:
-        fresh = model.new_track_head(nn.take(enc_out, (np.asarray(fresh_rows),)))
-        e_t = nn.concat([e_t, fresh], axis=0)
-    return e_t, new_track_ids, new_teacher
+    people = _canonical_detections(frame)
+    geometry = {ident: _TeacherTrack(frame.detections[i].pose, frame.detections[i].box)
+                for ident, i in people.items()}
+    fresh = [ident for ident in people if ident not in track_ids]
+    new_teacher = ([geometry.get(ident, old) for ident, old in zip(track_ids, teacher)]
+                   + [geometry[ident] for ident in fresh])
+    if fresh:
+        rows = np.asarray([people[ident] for ident in fresh])
+        e_t = nn.concat([e_t, model.new_track_head(nn.take(enc_out, (rows,)))], axis=0)
+    return e_t, track_ids + fresh, new_teacher

@@ -991,6 +991,22 @@ def test_bad_config_value_is_usage_error(tmp_path, cfg_path, capsys, field, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["d", "d_e"])
+def test_width_below_two_is_usage_error(tmp_path, cfg_path, capsys, field):
+    # refused when the config is read, not inside layer_norm at the first frame
+    seq = short_sequence(tmp_path, cfg_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL_CFG, **{field: 1})))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    for argv in (["track", str(seq), "--config", str(bad)],
+                 ["train", str(seq), "--config", str(bad), "--iters", "1",
+                  "--out", str(ckpt)]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {field} must be at least 2, got 1\n")
+    assert not ckpt.exists()
+
+
 def test_crop_sequence_with_a_checkpoint_without_backbone(tmp_path, cfg_path, capsys):
     # a checkpoint trained on appearance vectors has no backbone.* tensors,
     # so it cannot embed crops: track refuses before the first frame

@@ -83,3 +83,11 @@ def test_d_e_does_not_follow_d():
     assert EngineConfig(d=64, d_e=8).d_e == 8
     with pytest.raises(ValueError, match="edge width d_e must be positive"):
         validate_config(EngineConfig(d_e=-1))
+
+
+@pytest.mark.parametrize("field", ["d", "d_e"])
+def test_width_below_two_is_refused(field):
+    # layer_norm normalizes over each width, so one feature cannot run
+    with pytest.raises(ValueError, match=f"^{field} must be at least 2, got 1$"):
+        EngineConfig(**{field: 1})
+    assert getattr(EngineConfig(**{field: 2}), field) == 2

@@ -99,7 +99,9 @@ def test_edge_logit_independent_of_summation_order(cfg):
     assert np.max(np.abs(moved - base)) <= 1e-12 * np.max(np.abs(base))
 
 
-@pytest.mark.parametrize("d_e", [1, 2])
+# d_e = 1 never reaches the heuristic model: the config refuses it
+# (test_cli.py::test_width_below_two_is_usage_error)
+@pytest.mark.parametrize("d_e", [2])
 def test_too_narrow_edge_path_is_refused(d_e, tmp_path, capsys):
     cfg = dataclasses.replace(CFG, d_e=d_e)
     with pytest.raises(ValueError, match="d_e"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dstrack.config import EngineConfig
-from dstrack.datatypes import Box, Detection, Pose
+from dstrack.datatypes import Box, Detection, Pose, Track
 from dstrack.evaluate import evaluate
 from dstrack.heuristics import build_heuristic_model
 from dstrack.synth import SCENARIOS, synth_sequence
@@ -323,6 +323,67 @@ def test_closure_exactly_after_tau_age():
     result, state, _ = step(state, [], model)  # age would reach 4 > 3
     assert result.closed_tracks == [tid]
     assert state.tracks == []
+
+
+def test_lifecycle_on_frames_with_detections():
+    # two tracks lose their match while a far-away person is tracked: each
+    # keeps its confidence-blended row of updated_tracks and its geometry,
+    # ages by one frame, and closes at exactly tau_age
+    cfg = dataclasses.replace(SMALL, tau_age=3)
+    model = build_heuristic_model(cfg)
+    # gate 0.5 towards a shifted head output, so a blended row is not the
+    # track's own embedding
+    model.store["conf.b"].data[...] = 0.0
+    model.store["track_head.b2"].data[...] += 0.1
+    rng = np.random.default_rng(21)
+    k, d = cfg.keypoint_count, cfg.d
+    look = np.eye(d)  # orthogonal appearances: only geometry could pair them
+    _, state, _ = step(TrackerState(), [make_detection(0, 0, rng, k, appearance=look[0]),
+                                        make_detection(0, 60, rng, k, appearance=look[1])],
+                       model)
+    lost = [t.id for t in state.tracks]
+    far = [[make_detection(500 + f, 500, rng, k, appearance=look[2])] for f in range(4)]
+    for age in (1, 2, 3):
+        result, nxt, fwd = step(state, far[age - 1], model)
+        assert result.closed_tracks == []
+        assert (result.new_tracks, result.assignments) == (
+            ([(0, 2)], []) if age == 1 else ([], [(0, 2)]))
+        for pos, old in enumerate(state.tracks):
+            if old.id in lost:
+                t = next(u for u in nxt.tracks if u.id == old.id)
+                assert t.frames_since_match == age
+                assert np.array_equal(t.embedding, fwd.updated_tracks.data[pos])
+                assert not np.allclose(t.embedding, old.embedding)
+                assert t.last_box == old.last_box and t.last_pose is old.last_pose
+        state = nxt
+    result, state, _ = step(state, far[3], model)
+    assert result.assignments == [(0, 2)] and result.closed_tracks == lost
+    assert [t.id for t in state.tracks] == [2]
+
+
+@pytest.mark.parametrize("frame", ["far_detection", "empty"])
+def test_step_closes_in_track_order_and_sorts_by_id(frame):
+    # a hand-built state out of id order: closed ids follow the tracks'
+    # order, and the tracks come back sorted by id
+    cfg = dataclasses.replace(SMALL, tau_age=2)
+    model = build_heuristic_model(cfg)
+    rng = np.random.default_rng(22)
+    k, look = cfg.keypoint_count, np.eye(cfg.d)
+
+    def track(tid, x, age):
+        det = make_detection(x, 0, rng, k, appearance=look[tid])
+        return Track(id=tid, embedding=det.appearance, last_pose=det.pose,
+                     last_box=det.box, frames_since_match=age)
+
+    state = TrackerState([track(7, 0, 2), track(5, 100, 0), track(3, 200, 1),
+                          track(1, 300, 2)], next_id=9)
+    far = make_detection(600, 600, rng, k, appearance=look[9])
+    dets = [far] if frame == "far_detection" else []
+    result, nxt, _ = step(state, dets, model)
+    assert result.closed_tracks == [7, 1]
+    assert result.new_tracks == ([(0, 9)] if dets else [])
+    assert [t.id for t in nxt.tracks] == ([3, 5, 9] if dets else [3, 5])
+    assert [t.frames_since_match for t in nxt.tracks[:2]] == [2, 1]
 
 
 def test_ids_never_reused():

@@ -1,10 +1,11 @@
 """Losses, labeling, optimizer mechanics, and toy training runs."""
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from dstrack import nn
+from dstrack import nn, training
 from dstrack.config import EngineConfig
 from dstrack.datatypes import Box, Detection, Pose
 from dstrack.sequence_io import SequenceFrame
@@ -440,6 +441,62 @@ def test_train_toy_runs_through_an_empty_frame():
     assert [repr(r.total) for r in curve] == [
         "14.834920784105677", "24.821177214587365", "14.37163385825082",
         "24.124052936441792"]
+
+
+def _watch_people(monkeypatch):
+    """Record, per frame, the gt poses of the greedy pass and, per tracked
+    frame, the teacher boxes edge_features reads."""
+    gt_poses, teacher_boxes = [], []
+    greedy, edges = training.greedy_identity_assignment, training.edge_features
+
+    def watched_greedy(det_poses, gt, *args, **kwargs):
+        gt_poses.append(list(gt))
+        return greedy(det_poses, gt, *args, **kwargs)
+
+    def watched_edges(tracks, dets, cfg):
+        teacher_boxes.append([t.last_box for t in tracks])
+        return edges(tracks, dets, cfg)
+    monkeypatch.setattr(training, "greedy_identity_assignment", watched_greedy)
+    monkeypatch.setattr(training, "edge_features", watched_edges)
+    return gt_poses, teacher_boxes
+
+
+def test_training_follows_the_detection_eval_scores(monkeypatch):
+    # a listed duplicate placed before its original is not the person: the
+    # greedy pass's gt poses and the teacher geometry come from each
+    # identity's first detection that frame.duplicates does not list
+    seq = synth_sequence("duplicates", seed=3, cfg=SMALL, duplicate_prob=1.0)
+    frames = []
+    for fr in seq.frames[1:4]:
+        order = list(fr.duplicates) + [i for i in range(len(fr.detections))
+                                       if i not in fr.duplicates]
+        frames.append(dataclasses.replace(
+            fr, detections=[fr.detections[i] for i in order],
+            identities=[fr.identities[i] for i in order],
+            duplicates=tuple(range(len(fr.duplicates)))))
+    assert [fr.duplicates for fr in frames] == [(0,)] * 3
+    gt_poses, teacher_boxes = _watch_people(monkeypatch)
+    train_toy([frames], SMALL, seed=0, n_iters=1)
+    # detection 0 is the listed copy; 1 and 2 are identities 0 and 1
+    assert [fr.identities[1:] for fr in frames] == [[0, 1]] * 3
+    assert [[id(p) for p in poses] for poses in gt_poses] == [
+        [id(fr.detections[i].pose) for i in (1, 2)] for fr in frames]
+    assert teacher_boxes == [[fr.detections[i].box for i in (1, 2)] for fr in frames[:2]]
+
+
+def test_identity_with_only_listed_duplicates_is_not_followed(monkeypatch):
+    # an identity whose every detection is listed opens no track and moves
+    # no teacher geometry
+    seq = synth_sequence("duplicates", seed=3, cfg=SMALL, duplicate_prob=1.0)
+    f1, f2, f3 = seq.frames[1:4]
+    assert f1.identities == f2.identities == [0, 1, 0] and f1.duplicates == (2,)
+    frames = [dataclasses.replace(f1, duplicates=(1, 2)),  # identity 1 only listed
+              dataclasses.replace(f2, duplicates=(0, 2)),  # identity 0 only listed
+              f3]
+    _, teacher_boxes = _watch_people(monkeypatch)
+    train_toy([frames], SMALL, seed=0, n_iters=1)
+    assert teacher_boxes == [[f1.detections[0].box],
+                             [f1.detections[0].box, f2.detections[1].box]]
 
 
 def test_train_toy_on_crops_trains_the_backbone():
