@@ -222,16 +222,15 @@ class Detection:
 
 @dataclass(frozen=True)
 class Track:
+    """A track's id, the pose and box of its last matched detection, and how
+    many frames it has gone unmatched since.  Its embedding is its row of
+    the TrackerState's embedding matrix."""
+
     id: int
-    embedding: np.ndarray
     last_pose: Pose
     last_box: Box
     frames_since_match: int = 0
 
     def __post_init__(self):
-        emb = _frozen_array(self.embedding)
-        if not np.isfinite(emb).all():
-            raise ValueError("track embedding must be finite")
         if self.frames_since_match < 0:
             raise ValueError("frames_since_match must be non-negative")
-        object.__setattr__(self, "embedding", emb)

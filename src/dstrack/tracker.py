@@ -1,12 +1,12 @@
-"""Online per-frame association and track lifecycle.
+"""Online per-frame association and the one track lifecycle.
 
-step() is the single entry point: it runs the frame through the attention
-model, solves the assignment, filters duplicate detections, updates every
-track embedding, opens tracks for unexplained detections and retires tracks
-that have gone unmatched too long, in one pass over the tracks.  A frame
-without detections runs no model, and every track ages with its embedding
-kept.  State is threaded functionally: step returns a fresh TrackerState and
-never mutates its input.
+step() tracks a frame: the attention model and assign_and_filter decide
+which detection matches which track, which is a duplicate and which opens a
+track.  advance() applies a decision, in one pass over the tracks: it
+updates every track's geometry, embedding and age, opens new tracks and
+retires those unmatched too long.  Training applies the ground truth's
+decision through the same advance().  State is threaded functionally: a
+fresh TrackerState is returned and the input never mutated.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .config import EngineConfig
-from .datatypes import Detection, Track
+from .datatypes import Detection, Track, _frozen_array
 from .geometry import edge_features
 from .transformer import FrameForward, TrackingModel
 
@@ -58,8 +58,27 @@ class FrameResult:
 
 @dataclass
 class TrackerState:
+    """Live tracks, the next id to hand out, and the tracks' T x d embedding
+    matrix, read-only, whose row t belongs to tracks[t]."""
+
     tracks: List[Track] = field(default_factory=list)
     next_id: int = 0
+    embeddings: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    def __post_init__(self):
+        ids = [t.id for t in self.tracks]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"track id {next(i for i in ids if ids.count(i) > 1)} is repeated")
+        if ids and max(ids) >= self.next_id:
+            raise ValueError(f"next_id {self.next_id} must exceed every track id, "
+                             f"got track id {max(ids)}")
+        emb = _frozen_array(self.embeddings)
+        if emb.ndim != 2 or len(emb) != len(ids):
+            raise ValueError(f"embeddings must have one row per track: {len(ids)} tracks, "
+                             f"shape {emb.shape}")
+        if not np.isfinite(emb).all():
+            raise ValueError("track embeddings must be finite")
+        self.embeddings = emb
 
 
 def hungarian(cost: np.ndarray) -> List[Tuple[int, int]]:
@@ -255,61 +274,72 @@ def detection_embeddings(dets: Sequence[Detection], model: TrackingModel) -> nn.
 
 def step(state: TrackerState, detections: Sequence[Detection], model: TrackingModel,
          ) -> Tuple[FrameResult, TrackerState, Optional[FrameForward]]:
-    """Advance the tracker by one frame, in one pass over the tracks.
+    """Track one frame: the model pass and assign_and_filter decide, and
+    advance() applies the decision.  A frame without detections runs no
+    model: nothing is matched, and every track keeps its embedding and ages.
 
-    A matched track takes its detection's pose and box, its updated
-    embedding and age 0.  An unmatched track takes its confidence-blended
-    embedding and ages by one frame while it has gone unmatched fewer than
-    tau_age frames; otherwise its id is closed.  A frame without detections
-    runs no model, so nothing is matched and every track ages with its
-    embedding kept.
-
-    Returns (FrameResult, new state with tracks sorted by id, FrameForward
-    or None for a frame without detections).  The forward intermediates are
-    returned so training and diagnostics can reuse them.
+    Returns (FrameResult, new state, FrameForward or None for a frame
+    without detections).
     """
-    cfg = model.cfg
-    tracks = state.tracks
     fwd = None
-    matched, dup_idx, new_idx = [], [], []
-    embeddings = [t.embedding for t in tracks]
+    updated, enc_out, decision = state.embeddings, None, ([], [], [])
     if detections:
-        e_d0 = detection_embeddings(detections, model)
-        raw = edge_features(tracks, detections, cfg)
-        e_t_old = np.stack(embeddings) if tracks else np.zeros((0, cfg.d))
-        fwd = model.forward_frame(e_t_old, raw, e_d0)
-        matched, dup_idx, new_idx = assign_and_filter(fwd.match.fused.data)
-        embeddings = fwd.updated_tracks.data
+        e_t = state.embeddings if state.tracks else np.zeros((0, model.cfg.d))
+        fwd = model.forward_frame(e_t, edge_features(state.tracks, detections, model.cfg),
+                                  detection_embeddings(detections, model))
+        updated, enc_out = fwd.updated_tracks, fwd.enc_out
+        decision = assign_and_filter(fwd.match.fused.data)
+    result, state, _ = advance(state, detections, decision, updated, enc_out, model)
+    return result, state, fwd
 
+
+def advance(state: TrackerState, detections: Sequence[Detection], decision,
+            updated, enc_out: Optional[nn.Tensor], model: TrackingModel,
+            ) -> Tuple[FrameResult, TrackerState, nn.Tensor]:
+    """Apply a decision (matched (det idx, track position) pairs, duplicate
+    and new det idxs) to the state, in one pass over the tracks.
+
+    Every track takes its row of updated, the T x d embeddings after the
+    frame, and a matched one its detection's pose and box and age 0.  An
+    unmatched track ages by one frame while unmatched fewer than tau_age
+    frames, else its id is closed.  A new detection opens a track with the
+    next id and the new-track head's embedding of its row of enc_out.
+
+    Returns (FrameResult, new state with tracks sorted by id, the new
+    embeddings as one tensor on the tape of updated and enc_out).
+    """
+    matched, duplicates, new = decision
+    tracks = state.tracks
+    updated = nn.as_tensor(updated)
     result = FrameResult(assignments=[(det_idx, tracks[pos].id) for det_idx, pos in matched],
-                         duplicates=dup_idx)
+                         duplicates=list(duplicates))
     det_of = {pos: det_idx for det_idx, pos in matched}
-    next_tracks: List[Track] = []
+    kept: List[Tuple[Track, int]] = []  # (track, its row of updated, then of the new rows)
     for pos, t in enumerate(tracks):
         if pos in det_of:
             det = detections[det_of[pos]]
             pose, box, age = det.pose, det.box, 0
-        elif t.frames_since_match < cfg.tau_age:
+        elif t.frames_since_match < model.cfg.tau_age:
             pose, box, age = t.last_pose, t.last_box, t.frames_since_match + 1
         else:
             result.closed_tracks.append(t.id)
             continue
-        next_tracks.append(dataclasses.replace(
-            t, embedding=embeddings[pos], last_pose=pose, last_box=box, frames_since_match=age))
+        kept.append((Track(id=t.id, last_pose=pose, last_box=box, frames_since_match=age), pos))
 
-    next_id = state.next_id
-    if new_idx:
-        fresh_embed = model.new_track_head(
-            nn.take(fwd.enc_out, (np.asarray(new_idx),))).data
-        for row, det_idx in enumerate(new_idx):
+    embeddings, next_id = updated, state.next_id
+    if new:
+        fresh = model.new_track_head(nn.take(enc_out, (np.asarray(new),)))
+        embeddings = nn.concat([updated, fresh], axis=0)
+        for row, det_idx in enumerate(new, start=len(tracks)):
             det = detections[det_idx]
-            next_tracks.append(Track(
-                id=next_id, embedding=fresh_embed[row], last_pose=det.pose,
-                last_box=det.box))
+            kept.append((Track(id=next_id, last_pose=det.pose, last_box=det.box), row))
             result.new_tracks.append((det_idx, next_id))
             next_id += 1
-    next_tracks.sort(key=lambda t: t.id)
-    return result, TrackerState(next_tracks, next_id), fwd
+    kept.sort(key=lambda pair: pair[0].id)
+    rows = [row for _, row in kept]
+    if rows != list(range(len(embeddings.data))):
+        embeddings = nn.take(embeddings, (np.asarray(rows, dtype=np.intp),))
+    return result, TrackerState([t for t, _ in kept], next_id, embeddings.data), embeddings
 
 
 def run_sequence(frames: Sequence[Sequence[Detection]], model: TrackingModel):

@@ -1,9 +1,9 @@
 """Losses, ground-truth identity labeling, optimizer, and the toy trainer.
 
-The trainer unrolls the tracker over sub-sequences of three frames with
-teacher-forced track states: associations between frames come from ground
-truth, only embeddings flow through the model.  Gradients propagate through
-a whole sub-sequence and are cut between sub-sequences.
+The trainer unrolls the tracker over windows of three frames.  Each frame's
+decision comes from ground truth and tracker.advance applies it, the track
+lifecycle of tracking; only embeddings flow through the model.  Gradients
+propagate through a whole window and are cut between windows.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .config import EngineConfig
 from .datatypes import Box, Pose
 from .geometry import edge_features, oks_grid
 from .sequence_io import SequenceFrame
-from .tracker import detection_embeddings
+from .tracker import TrackerState, advance, detection_embeddings
 from .transformer import TrackingModel
 
 PROB_EPS = 1e-12
@@ -182,14 +182,6 @@ def inject_duplicate(frame: SequenceFrame, rng: np.random.Generator) -> Sequence
     )
 
 
-@dataclass
-class _TeacherTrack:
-    """Teacher-forced track geometry, the two fields edge_features reads."""
-
-    last_pose: Pose
-    last_box: Box
-
-
 def _canonical_detections(frame: SequenceFrame) -> Dict[int, int]:
     """identity -> its first detection that frame.duplicates does not list,
     the person training follows and evaluate scores; an identity whose
@@ -249,16 +241,16 @@ def train_toy(sequences: Sequence[Sequence[SequenceFrame]], cfg: EngineConfig,
               ) -> Tuple[TrackingModel, List[LossRow]]:
     """Train the association model on labeled sequences.
 
-    Each iteration draws one 3-frame window, teacher-forces track states
-    through it, accumulates the matching and attention losses of both
-    transitions (plus encoder losses on every frame), and takes one
+    Each iteration draws one 3-frame window, advances a teacher-forced
+    track state through it, accumulates the matching and attention losses
+    of both transitions (plus encoder losses on every frame), and takes one
     AdamW step at toy_lr(lr, iteration).  Returns the model and the
     per-iteration loss curve.  Without a given model, one with the backbone
     is built when some detection has only a crop, so those losses train the
-    backbone too.  A non-finite loss raises RuntimeError, and a
-    FloatingPointError (under np.errstate(..., "raise")) is raised again
-    naming the iteration and window, with the index into `sequences` as
-    its `sequence` attribute.
+    backbone too.  A non-finite loss raises RuntimeError.  A ValueError,
+    such as a non-finite track embedding, or a FloatingPointError (under
+    np.errstate(..., "raise")) is raised again naming the iteration and
+    window, with the index into `sequences` as its `sequence` attribute.
     """
     rng = np.random.default_rng(seed)
     if model is None:
@@ -282,14 +274,26 @@ def train_toy(sequences: Sequence[Sequence[SequenceFrame]], cfg: EngineConfig,
         where = f"iteration {it} (sequence {si}, frames {frames[0].index}-{frames[-1].index})"
         try:
             row = _train_window(model, opt, frames, cfg, it)
-        except FloatingPointError as e:  # raised only under np.errstate(..., "raise")
-            fault = FloatingPointError(f"{where}: {e}")
+        except (FloatingPointError, ValueError) as e:
+            fault = type(e)(f"{where}: {e}")
             fault.sequence = si
             raise fault from None
         if not np.isfinite(row.total):
             raise RuntimeError(f"non-finite loss at {where}")
         curve.append(row)
     return model, curve
+
+
+def _teacher_decision(frame: SequenceFrame, tracked: List[int]):
+    """The ground truth's decision for tracker.advance, given each track's
+    identity: a track is matched to its identity's canonical detection, an
+    identity without a track opens one there, any other detection is a
+    duplicate."""
+    people = _canonical_detections(frame)
+    matched = [(people[ident], pos) for pos, ident in enumerate(tracked) if ident in people]
+    new = [i for ident, i in people.items() if ident not in tracked]
+    taken = {i for i, _ in matched}.union(new)
+    return matched, [i for i in range(len(frame.detections)) if i not in taken], new
 
 
 def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
@@ -300,22 +304,21 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
     dec_acc = [nn.Tensor(np.zeros(()))] * n_dec
     match_acc = nn.Tensor(np.zeros(()))
 
-    # teacher-forced tracks: frame 0 has none, so it runs only the encoder
-    # and opens one track per identity
-    e_t = nn.Tensor(np.zeros((0, cfg.d)))
-    track_ids: List[int] = []
-    teacher: List[_TeacherTrack] = []
+    # frame 0 has no tracks yet, so it runs only the encoder
+    state, e_t = TrackerState(), nn.Tensor(np.zeros((0, cfg.d)))
+    identity_of: Dict[int, int] = {}  # track id -> identity
     for f, frame in enumerate(frames):
         labels = _frame_labels(frame, cfg)
         groups = identity_groups(labels)
         e_d = detection_embeddings(frame.detections, model)
+        tracked = [identity_of[t.id] for t in state.tracks]
         if f == 0:
             enc_out, enc_attn = model.encoder_forward(e_d)
         else:
-            fwd = model.forward_frame(e_t, edge_features(teacher, frame.detections, cfg), e_d)
+            fwd = model.forward_frame(e_t, edge_features(state.tracks, frame.detections, cfg), e_d)
             e_t, enc_out, enc_attn = fwd.updated_tracks, fwd.enc_out, fwd.enc_attn
-            match_acc = nn.add(match_acc, loss_attn(fwd.match.fused, match_groups(labels, track_ids)))
-            track_groups = [groups.get(ident, []) for ident in track_ids]
+            match_acc = nn.add(match_acc, loss_attn(fwd.match.fused, match_groups(labels, tracked)))
+            track_groups = [groups.get(ident, []) for ident in tracked]
             for k in range(n_dec):
                 dec_acc[k] = nn.add(dec_acc[k], loss_attn(fwd.bundles[k].fused, track_groups))
         # a labeled detection attends to its duplicate group, any other to itself
@@ -323,8 +326,9 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
         for k in range(n_enc):
             enc_acc[k] = nn.add(enc_acc[k], loss_attn(enc_attn[k], enc_groups))
         if f + 1 < len(frames):  # the last frame has no next frame to track into
-            e_t, track_ids, teacher = _advance_state(model, e_t, enc_out, frame,
-                                                     track_ids, teacher)
+            result, state, e_t = advance(state, frame.detections,
+                                         _teacher_decision(frame, tracked), e_t, enc_out, model)
+            identity_of.update((tid, labels[i]) for i, tid in result.new_tracks)
 
     total = match_acc
     for term in enc_acc + dec_acc:
@@ -341,23 +345,3 @@ def _train_window(model: TrackingModel, opt: AdamW, frames: List[SequenceFrame],
         total=float(total.data),
         lr=lr,
     )
-
-
-def _advance_state(model: TrackingModel, e_t: nn.Tensor, enc_out: nn.Tensor,
-                   frame: SequenceFrame, track_ids: List[int],
-                   teacher: List[_TeacherTrack]):
-    """Ground-truth-matched update: existing tracks keep their embedding row
-    of e_t and adopt their identity's canonical detection geometry (a track
-    whose identity has none keeps its own); identities without a track open
-    teacher-forced new tracks from the new-track head on the canonical
-    detection's row of enc_out."""
-    people = _canonical_detections(frame)
-    geometry = {ident: _TeacherTrack(frame.detections[i].pose, frame.detections[i].box)
-                for ident, i in people.items()}
-    fresh = [ident for ident in people if ident not in track_ids]
-    new_teacher = ([geometry.get(ident, old) for ident, old in zip(track_ids, teacher)]
-                   + [geometry[ident] for ident in fresh])
-    if fresh:
-        rows = np.asarray([people[ident] for ident in fresh])
-        e_t = nn.concat([e_t, model.new_track_head(nn.take(enc_out, (rows,)))], axis=0)
-    return e_t, track_ids + fresh, new_teacher

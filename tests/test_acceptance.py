@@ -148,8 +148,7 @@ def test_criterion_3_infrastructure_oracles():
         x0, y0 = rng.uniform(0, 150, size=2)
         return Box(x0, y0, x0 + rng.uniform(20, 80), y0 + rng.uniform(20, 80))
 
-    tracks = [Track(id=j, embedding=np.zeros(SMALL.d), last_pose=rand_pose(),
-                    last_box=rand_box()) for j in range(3)]
+    tracks = [Track(id=j, last_pose=rand_pose(), last_box=rand_box()) for j in range(3)]
     dets = [Detection(box=rand_box(), pose=rand_pose()) for _ in range(4)]
     got = edge_features(tracks, dets, SMALL)
     geo_err = 0.0
@@ -315,8 +314,7 @@ def test_criterion_6_lifecycle_fuzz():
         prev_dets = dets
 
         pre_ids = [t.id for t in state.tracks]
-        pre_embed = (np.array([t.embedding for t in state.tracks])
-                     if state.tracks else np.zeros((0, d)))
+        pre_embed = state.embeddings if state.tracks else np.zeros((0, d))
         res, state, fwd = step(state, dets, model)
 
         assert res.detection_partition(len(dets))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dstrack.datatypes import Box, Detection, Pose, Track
+from dstrack.tracker import TrackerState
 
 
 def make_pose(k=4, seed=0):
@@ -94,13 +95,14 @@ def test_track_validation():
     pose = make_pose()
     box = Box(0, 0, 10, 10)
     with pytest.raises(ValueError, match="finite"):
-        Track(id=1, embedding=[np.inf, 0.0], last_pose=pose, last_box=box)
+        TrackerState([Track(id=1, last_pose=pose, last_box=box)], next_id=2,
+                     embeddings=[[np.inf, 0.0]])
     with pytest.raises(ValueError, match="non-negative"):
-        Track(id=1, embedding=[0.0], last_pose=pose, last_box=box, frames_since_match=-1)
+        Track(id=1, last_pose=pose, last_box=box, frames_since_match=-1)
 
 
 def test_track_is_replace_friendly():
-    t = Track(id=7, embedding=np.ones(4), last_pose=make_pose(), last_box=Box(0, 0, 1, 1))
+    t = Track(id=7, last_pose=make_pose(), last_box=Box(0, 0, 1, 1))
     t2 = dataclasses.replace(t, frames_since_match=3)
     assert t2.frames_since_match == 3 and t.frames_since_match == 0
     with pytest.raises(dataclasses.FrozenInstanceError):

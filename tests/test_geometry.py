@@ -194,7 +194,7 @@ def test_edge_features_self_similarity():
         for i in range(3)
     ]
     tracks = [
-        Track(id=i, embedding=np.zeros(4), last_pose=d.pose, last_box=d.box)
+        Track(id=i, last_pose=d.pose, last_box=d.box)
         for i, d in enumerate(dets)
     ]
     feats = edge_features(tracks, dets, cfg)
@@ -250,7 +250,7 @@ def test_edge_features_match_pairwise_oracle(seed, n_tracks, n_dets, k):
         track_poses[2] = hidden_pose(rng, k)
     if n_dets > 3:
         det_poses[3] = hidden_pose(rng, k)
-    tracks = [Track(id=j, embedding=np.zeros(4), last_pose=p, last_box=b)
+    tracks = [Track(id=j, last_pose=p, last_box=b)
               for j, (p, b) in enumerate(zip(track_poses, track_boxes))]
     dets = [Detection(box=b, pose=p) for b, p in zip(det_boxes, det_poses)]
     feats = edge_features(tracks, dets, cfg)
@@ -292,8 +292,7 @@ def test_edge_features_raise_like_oks_triplet(track_k, det_k, kappa_k):
     rng = np.random.default_rng(0)
     cfg = EngineConfig(d=8, keypoint_count=kappa_k, oks_kappas=(0.1,) * kappa_k)
     box = Box(0, 0, 10, 10)
-    track = Track(id=0, embedding=np.zeros(4), last_pose=random_pose(rng, k=track_k),
-                  last_box=box)
+    track = Track(id=0, last_pose=random_pose(rng, k=track_k), last_box=box)
     det = Detection(box=box, pose=random_pose(rng, k=det_k))
     with pytest.raises(ValueError) as scalar:
         oks_triplet(track.last_pose, det.pose, box, np.asarray(cfg.oks_kappas))

@@ -350,10 +350,10 @@ def test_lifecycle_on_frames_with_detections():
             ([(0, 2)], []) if age == 1 else ([], [(0, 2)]))
         for pos, old in enumerate(state.tracks):
             if old.id in lost:
-                t = next(u for u in nxt.tracks if u.id == old.id)
+                row, t = next((r, u) for r, u in enumerate(nxt.tracks) if u.id == old.id)
                 assert t.frames_since_match == age
-                assert np.array_equal(t.embedding, fwd.updated_tracks.data[pos])
-                assert not np.allclose(t.embedding, old.embedding)
+                assert np.array_equal(nxt.embeddings[row], fwd.updated_tracks.data[pos])
+                assert not np.allclose(nxt.embeddings[row], state.embeddings[pos])
                 assert t.last_box == old.last_box and t.last_pose is old.last_pose
         state = nxt
     result, state, _ = step(state, far[3], model)
@@ -372,18 +372,49 @@ def test_step_closes_in_track_order_and_sorts_by_id(frame):
 
     def track(tid, x, age):
         det = make_detection(x, 0, rng, k, appearance=look[tid])
-        return Track(id=tid, embedding=det.appearance, last_pose=det.pose,
-                     last_box=det.box, frames_since_match=age)
+        return Track(id=tid, last_pose=det.pose, last_box=det.box, frames_since_match=age)
 
     state = TrackerState([track(7, 0, 2), track(5, 100, 0), track(3, 200, 1),
-                          track(1, 300, 2)], next_id=9)
+                          track(1, 300, 2)], next_id=9, embeddings=look[[7, 5, 3, 1]])
     far = make_detection(600, 600, rng, k, appearance=look[9])
     dets = [far] if frame == "far_detection" else []
-    result, nxt, _ = step(state, dets, model)
+    result, nxt, fwd = step(state, dets, model)
     assert result.closed_tracks == [7, 1]
     assert result.new_tracks == ([(0, 9)] if dets else [])
     assert [t.id for t in nxt.tracks] == ([3, 5, 9] if dets else [3, 5])
     assert [t.frames_since_match for t in nxt.tracks[:2]] == [2, 1]
+    # the embedding rows move with their tracks, from positions 2 and 1
+    kept = fwd.updated_tracks.data[[2, 1]] if dets else look[[3, 5]]
+    assert np.array_equal(nxt.embeddings[:2], kept)
+
+
+def test_state_refuses_reused_ids_and_embeddings_without_a_row_per_track():
+    rng = np.random.default_rng(23)
+
+    def track(tid):
+        det = make_detection(100 * tid, 0, rng)
+        return Track(id=tid, last_pose=det.pose, last_box=det.box)
+
+    refusals = [
+        (dict(tracks=[track(0)], next_id=0, embeddings=np.zeros((1, 8))),
+         "next_id 0 must exceed every track id, got track id 0"),
+        (dict(tracks=[track(3), track(3)], next_id=4, embeddings=np.zeros((2, 8))),
+         "track id 3 is repeated"),
+        (dict(tracks=[track(0)], next_id=1), r"one row per track: 1 tracks, shape \(0, 0\)"),
+        (dict(tracks=[track(0)], next_id=1, embeddings=np.zeros(8)), "one row per track"),
+        (dict(tracks=[track(0), track(1)], next_id=2, embeddings=np.zeros((1, 8))),
+         "one row per track"),
+        (dict(tracks=[track(0)], next_id=1, embeddings=[[0.0, np.nan]]), "must be finite"),
+    ]
+    for fields, message in refusals:
+        with pytest.raises(ValueError, match=message) as err:
+            TrackerState(**fields)
+        assert "\n" not in str(err.value)
+    # a valid state holds its own read-only copy of the matrix
+    look = np.ones((1, 8))
+    state = TrackerState([track(0)], next_id=1, embeddings=look)
+    look[0, 0] = 5.0
+    assert state.embeddings[0, 0] == 1.0 and not state.embeddings.flags.writeable
 
 
 def test_ids_never_reused():
@@ -464,7 +495,7 @@ def test_step_with_backbone_crops():
     )
     result, state, _ = step(TrackerState(), [det], model)
     assert len(state.tracks) == 1
-    assert np.isfinite(state.tracks[0].embedding).all()
+    assert state.embeddings.shape == (1, cfg.d) and np.isfinite(state.embeddings).all()
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +531,13 @@ def test_step_is_equivariant_in_detection_order(scenario, seed, perm_seed):
         assert sorted(perm[i] for i in got.duplicates) == sorted(res.duplicates)
         assert sorted(to_plain[t] for t in got.closed_tracks) == sorted(res.closed_tracks)
 
-        plain_tracks = {t.id: t for t in state.tracks}
+        plain_tracks = {t.id: (t, row) for row, t in enumerate(state.tracks)}
         assert sorted(to_plain[t.id] for t in shuffled.tracks) == sorted(plain_tracks)
-        for t in shuffled.tracks:
-            twin = plain_tracks[to_plain[t.id]]
+        for row, t in enumerate(shuffled.tracks):
+            twin, twin_row = plain_tracks[to_plain[t.id]]
             assert (t.last_box, t.frames_since_match) == (twin.last_box, twin.frames_since_match)
-            np.testing.assert_allclose(t.embedding, twin.embedding, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(shuffled.embeddings[row], state.embeddings[twin_row],
+                                       rtol=1e-9, atol=1e-12)
 
 
 def _hide_half_the_joints(seq, ident):
@@ -559,8 +591,9 @@ def test_fuzz_partition_and_lifecycle_invariants():
         for _, tid in result.new_tracks:
             assert tid not in issued
             issued.add(tid)
+        assert len(state.embeddings) == len(state.tracks)
+        assert np.isfinite(state.embeddings).all()
         for t in state.tracks:
             assert t.frames_since_match <= cfg.tau_age
-            assert np.isfinite(t.embedding).all()
         matched_per_frame = [tid for _, tid in result.assignments]
         assert len(matched_per_frame) == len(set(matched_per_frame))

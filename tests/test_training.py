@@ -538,3 +538,51 @@ def test_gradient_reaches_every_stage_edge_readout():
         AdamW.step = orig_step
     for name in names:
         assert grads[name] is not None and grads[name] > 0.0, name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_embedding_names_the_iteration_and_window():
+    # without np.errstate, an appearance of 1e200 overflows into a non-finite
+    # track embedding at frame 0; the refusal still names where it happened
+    frames = labeled_frames(synth_sequence("crowd", n_frames=4, seed=0, cfg=SMALL))
+    det = frames[0].detections[0]
+    look = det.appearance.copy()
+    look[0] = 1e200
+    frames[0] = dataclasses.replace(frames[0], detections=[
+        dataclasses.replace(det, appearance=look)] + frames[0].detections[1:])
+    with pytest.raises((RuntimeError, ValueError), match="finite") as err:
+        train_toy([frames], SMALL, seed=0, n_iters=1)
+    assert "iteration 0 (sequence 0, frames 0-2)" in str(err.value)
+
+
+def test_a_long_window_runs_through_the_track_lifecycle(monkeypatch):
+    # a 6-frame window at tau_age 1, with one identity missing from frames 2
+    # and 3: its teacher track closes, and its return opens a fresh track
+    cfg = dataclasses.replace(SMALL, tau_age=1)
+    seq = synth_sequence("crowd", n_frames=6, seed=0, cfg=cfg)
+    gone = seq.frames[0].identities[0]
+    frames = []
+    for f, fr in enumerate(seq.frames):
+        assert fr.duplicates == ()
+        keep = [i for i, ident in enumerate(fr.identities) if f not in (2, 3) or ident != gone]
+        frames.append(dataclasses.replace(fr, detections=[fr.detections[i] for i in keep],
+                                          identities=[fr.identities[i] for i in keep]))
+    results, advance = [], training.advance
+
+    def watched(state, detections, decision, *args):
+        out = advance(state, detections, decision, *args)
+        results.append((out[0], len(detections)))
+        return out
+    monkeypatch.setattr(training, "advance", watched)
+    model = TrackingModel(cfg, seed=0)
+    row = training._train_window(model, AdamW(model.store, 1e-3), frames, cfg, 0)
+
+    assert len(results) == 5  # every frame but the last advances the state
+    assert all(r.detection_partition(n) for r, n in results)
+    opened = [dict((frames[f].identities[i], tid) for i, tid in r.new_tracks)
+              for f, (r, _) in enumerate(results)]
+    first = opened[0][gone]
+    assert [r.closed_tracks for r, _ in results] == [[], [], [], [first], []]
+    assert [list(o) for o in opened[1:]] == [[], [], [], [gone]]
+    assert opened[4][gone] not in opened[0].values()
+    assert np.isfinite(row.total)
